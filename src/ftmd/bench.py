@@ -7,7 +7,6 @@ the per-node work of the solver alone.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -44,9 +43,3 @@ def run_scaling(exponents: Iterable[int], seed: int, repeats: int = 3) -> list[B
 def doubling_ratios(rows: list[BenchRow]) -> list[float]:
     """Time ratios between consecutive sizes (2n versus n)."""
     return [b.seconds / a.seconds for a, b in zip(rows, rows[1:])]
-
-
-def median_doubling_ratio(row_groups: Iterable[list[BenchRow]]) -> float:
-    """Median doubling ratio pooled over several independent runs."""
-    ratios = [r for rows in row_groups for r in doubling_ratios(rows)]
-    return statistics.median(ratios)

@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from .bench import run_scaling
-from .cotree import EmptyGraphError, NotCographError, build_cotree, format_cotree
+from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
 from .dp import solve
 from .graph import Graph, from_edges
@@ -123,7 +123,7 @@ def cmd_solve(args) -> int:
     print(solution.weight)
     print(" ".join(map(str, solution.vertices)))
     if args.cotree:
-        print(format_cotree(build_cotree(g)))
+        print(format_cotree(solution.tree))
     if args.verify and not solution.verify(g):
         print("error: solution failed fault-tolerance verification", file=sys.stderr)
         return 1

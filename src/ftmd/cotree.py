@@ -121,6 +121,25 @@ def leaf_labels(t: Cotree) -> list[int]:
     return out
 
 
+def root_components(t: Cotree) -> list[Cotree]:
+    """Subtrees under the root's union chain, left to right.
+
+    For a cotree from ``build_cotree`` these are the connected components in
+    ascending order of their smallest vertex; the leaves among them are the
+    isolated vertices.
+    """
+    out: list[Cotree] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
+
+
 def is_normalized(t: Cotree) -> bool:
     """No complement node directly under another complement node."""
     for node in iter_nodes(t):

@@ -21,6 +21,24 @@ index. Entries with ``a = b = 1`` are permanently infeasible: a vertex
 with no chosen neighbour and a vertex with one chosen neighbour are
 separated at most once.
 
+A leaf ``v`` has a table with two entries: choosing ``v`` gives state
+(0,1,1,0) at weight ``w_v``, leaving it out gives (1,0,0,1) at weight 0.
+Both indices read the same reversed, so a complemented leaf keeps its table.
+
+A single rule combines the tables of a union node's two sides. Besides the
+flags it needs each side's size class ``s = min(|R|, 2)``: a leaf's two
+states have ``s = 1`` and ``s = 0``, and every entry of a subtree with two
+or more leaves has ``s = 2``, because a pair of vertices is separated twice
+only by two chosen vertices. In the union:
+
+  - ``a`` and ``b`` are the OR of the two sides;
+  - a pair with one vertex on each side is separated exactly by the chosen
+    vertices in their two closed neighbourhoods, so a 0-vertex on one side
+    excludes 0- and 1-vertices on the other;
+  - a side's ``c`` and ``d`` survive unchanged when the other side has
+    ``s = 0``, its ``d`` becomes ``c`` when the other side has ``s = 1``,
+    and both are dropped when the other side has ``s = 2``.
+
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
 the weighted fault-tolerant metric dimension. Disconnected graphs are
@@ -30,38 +48,30 @@ are at least two of them, and a single isolated vertex never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .cotree import Complement, Cotree, Leaf, Union, build_cotree
-from .cotree import EmptyGraphError, NotCographError
-from .graph import Graph, connected_components, induced_subgraph
-
-Weight = int | float
+from .cotree import Complement, Cotree, Leaf, build_cotree
+from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
+from .graph import Graph, Weight, check_weights
 
 
 class Entry(NamedTuple):
     """One feasible table entry: total weight plus a reconstruction record.
 
-    ``how`` is one of ``('pair', v1, v2)``, ``('add', v, child_entry)``,
-    ``('skip', child_entry)`` or ``('join', left_entry, right_entry)``.
+    A chosen leaf holds its vertex id in ``left`` and ``None`` in ``right``;
+    the empty set is the shared ``_NOTHING``; a union entry holds one entry
+    of each side in ``left`` and ``right``. Complementation reuses entries.
     """
 
     weight: Weight
-    how: tuple
+    left: Entry | int | None
+    right: Entry | None
 
+
+_NOTHING = Entry(0, None, None)
 
 Table = tuple  # 16 slots of Entry | None, indexed by state_index
-
-
-@dataclass(frozen=True)
-class SingleVertex:
-    """Value of a one-leaf subtree, which has no state table."""
-
-    vertex: int
-
-
-DpValue = SingleVertex | Table
 
 
 def state_index(a: int, b: int, c: int, d: int) -> int:
@@ -75,153 +85,111 @@ def state_tuple(i: int) -> tuple[int, int, int, int]:
 # Reversing the four flag bits, applied when a subtree is complemented.
 _REVERSED = tuple(state_index(*reversed(state_tuple(i))) for i in range(16))
 
-_EMPTY: Table = (None,) * 16
+_CHOSEN = state_index(0, 1, 1, 0)
+_LEFT_OUT = state_index(1, 0, 0, 1)
 
 
-def _min_entry(entries) -> Entry | None:
-    """First entry of minimal weight, scanning in the given order."""
-    best = None
-    for e in entries:
-        if e is not None and (best is None or e.weight < best.weight):
-            best = e
-    return best
+def _union_state(i: int, s1: int, j: int, s2: int) -> int:
+    """State of a union of side-1 state ``i`` and side-2 state ``j`` with
+    size classes ``s1`` and ``s2``; -1 when the union is infeasible."""
+    a1, b1, c1, d1 = state_tuple(i)
+    a2, b2, c2, d2 = state_tuple(j)
+    a, b = a1 | a2, b1 | b2
+    # Two 0-vertices, or a 0- and a 1-vertex, are separated at most once.
+    if a1 and a2 or a and b:
+        return -1
+    # Each side's (c, d) as the other side's size class 0, 1 or 2 leaves them.
+    c1, d1 = ((c1, d1), (d1, 0), (0, 0))[s2]
+    c2, d2 = ((c2, d2), (d2, 0), (0, 0))[s1]
+    return state_index(a, b, c1 | c2, d1 | d2)
 
 
-def dp_union_leaf_leaf(v1: int, v2: int, weights: Sequence[Weight]) -> Table:
-    """Table for the union of two single vertices.
+def _union_rule(leaf1: bool, leaf2: bool) -> tuple[tuple[int, ...], ...]:
+    """``rule[i][j]`` for two sides that are (or are not) single leaves."""
 
-    Both vertices must be chosen (the pair has no other separators), each
-    then has exactly one chosen vertex in its closed neighbourhood and no
-    vertex is adjacent to any chosen vertex, so the only feasible state is
-    (0, 1, 0, 0).
-    """
-    table = [None] * 16
-    table[state_index(0, 1, 0, 0)] = Entry(
-        weights[v1] + weights[v2], ("pair", v1, v2)
+    def size(i: int, leaf: bool) -> int:
+        return (1 if i == _CHOSEN else 0) if leaf else 2
+
+    return tuple(
+        tuple(_union_state(i, size(i, leaf1), j, size(j, leaf2)) for j in range(16))
+        for i in range(16)
     )
-    return tuple(table)
 
 
-def dp_union_leaf_table(v: int, t2: Table, weights: Sequence[Weight]) -> Table:
-    """Table for the union of a single vertex ``v`` with a larger subtree.
+# Indexed by whether the left side, then the right side, is a single leaf.
+_UNION_RULES = tuple(
+    tuple(_union_rule(leaf1, leaf2) for leaf2 in (False, True))
+    for leaf1 in (False, True)
+)
 
-    The isolated vertex is a 0-vertex when left out and a 1-vertex when
-    chosen, so no state with ``a = b = 0`` is feasible. Choosing ``v``
-    forbids 0-vertices on the other side and, since ``v`` has no
-    neighbours, no vertex can be adjacent to the whole set; the other
-    side's all-adjacent vertices become adjacent to all but one member.
-    Leaving ``v`` out makes it a 0-vertex, which forces the other side to
-    have neither 0- nor 1-vertices; its remaining flags pass through.
-    """
+# Ties between equally cheap pairs go to the first pair in this scan: the
+# left side's states with a 0-vertex first, then ascending indices on both
+# sides. This fixes which of several optimal sets is returned.
+_LEFT_SCAN = tuple(range(8, 12)) + tuple(range(8))
+
+
+def dp_leaf(vertex: int, weight: Weight) -> Table:
+    """Table of a one-leaf subtree: the vertex chosen or left out."""
     table: list[Entry | None] = [None] * 16
-    wv = weights[v]
-
-    chosen_no_top = _min_entry(
-        t2[state_index(0, b, c, 0)] for b in (0, 1) for c in (0, 1)
-    )
-    if chosen_no_top is not None:
-        table[state_index(0, 1, 0, 0)] = Entry(
-            wv + chosen_no_top.weight, ("add", v, chosen_no_top)
-        )
-    chosen_with_top = _min_entry(
-        t2[state_index(0, b, c, 1)] for b in (0, 1) for c in (0, 1)
-    )
-    if chosen_with_top is not None:
-        table[state_index(0, 1, 1, 0)] = Entry(
-            wv + chosen_with_top.weight, ("add", v, chosen_with_top)
-        )
-    for c in (0, 1):
-        for d in (0, 1):
-            e = t2[state_index(0, 0, c, d)]
-            if e is not None:
-                table[state_index(1, 0, c, d)] = Entry(e.weight, ("skip", e))
+    table[_CHOSEN] = Entry(weight, vertex, None)
+    table[_LEFT_OUT] = _NOTHING
     return tuple(table)
 
 
-def dp_union_table_table(t1: Table, t2: Table) -> Table:
-    """Table for the union of two subtrees with at least two leaves each.
+def dp_union(t1: Table, t2: Table) -> Table:
+    """Table for the disjoint union of two subtrees.
 
-    Each side contributes at least two chosen vertices, so no vertex can be
-    adjacent to all, or all but one, of the combined set: only states
-    (0,0,0,0), (0,1,0,0) and (1,0,0,0) can be finite. A 0-vertex on one
-    side rules out 0- and 1-vertices on the other (their cross pair would
-    be separated at most once).
+    A table comes from a single leaf exactly when it holds ``_NOTHING``:
+    larger subtrees need at least two chosen vertices. That decides the
+    size classes, and with them which generated rule applies.
     """
+    rule = _UNION_RULES[t1[_LEFT_OUT] is _NOTHING][t2[_LEFT_OUT] is _NOTHING]
+    right = [(j, e2) for j, e2 in enumerate(t2) if e2 is not None]
     table: list[Entry | None] = [None] * 16
-
-    def side_best(t: Table, a: int, b: int) -> Entry | None:
-        return _min_entry(t[state_index(a, b, c, d)] for c in (0, 1) for d in (0, 1))
-
-    def joined(e1: Entry | None, e2: Entry | None) -> Entry | None:
-        if e1 is None or e2 is None:
-            return None
-        return Entry(e1.weight + e2.weight, ("join", e1, e2))
-
-    clean1, clean2 = side_best(t1, 0, 0), side_best(t2, 0, 0)
-    one1, one2 = side_best(t1, 0, 1), side_best(t2, 0, 1)
-    zero1, zero2 = side_best(t1, 1, 0), side_best(t2, 1, 0)
-
-    table[state_index(0, 0, 0, 0)] = joined(clean1, clean2)
-    table[state_index(0, 1, 0, 0)] = _min_entry(
-        [joined(clean1, one2), joined(one1, clean2), joined(one1, one2)]
-    )
-    table[state_index(1, 0, 0, 0)] = _min_entry(
-        [joined(zero1, clean2), joined(clean1, zero2)]
-    )
+    for i in _LEFT_SCAN:
+        e1 = t1[i]
+        if e1 is None:
+            continue
+        row = rule[i]
+        for j, e2 in right:
+            k = row[j]
+            if k < 0:
+                continue
+            weight = e1.weight + e2.weight
+            best = table[k]
+            if best is None or weight < best.weight:
+                table[k] = Entry(weight, e1, e2)
     return tuple(table)
 
 
-def dp_complement(value: DpValue) -> DpValue:
-    """Complement a subtree's value: permute the table by reversing indices.
+def dp_complement(table: Table) -> Table:
+    """Complement a subtree's table: permute it by reversing indices.
 
-    A single vertex is its own complement. Entries keep their weights and
-    reconstruction records; applying this twice restores the table.
+    Entries keep their weights and reconstruction records; applying this
+    twice restores the table.
     """
-    if isinstance(value, SingleVertex):
-        return value
-    return tuple(value[_REVERSED[i]] for i in range(16))
+    return tuple([table[i] for i in _REVERSED])
 
 
 def dp_run(
     t: Cotree,
     weights: Sequence[Weight],
-    trace: list[tuple[Cotree, DpValue]] | None = None,
-) -> DpValue:
+    trace: list[tuple[Cotree, Table]] | None = None,
+) -> Table:
     """Evaluate the dynamic program bottom-up over the cotree.
 
     Constant table work per node. When ``trace`` is a list, every node's
-    value is appended to it in post-order.
+    table is appended to it in post-order.
     """
-    values: list[DpValue] = []
-    stack: list[tuple[Cotree, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            stack.append((node, True))
-            if isinstance(node, Union):
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-            elif isinstance(node, Complement):
-                stack.append((node.child, False))
-            continue
-        value: DpValue
+    values: list[Table] = []
+    for node in iter_nodes(t):
         if isinstance(node, Leaf):
-            value = SingleVertex(node.vertex)
+            value = dp_leaf(node.vertex, weights[node.vertex])
         elif isinstance(node, Complement):
             value = dp_complement(values.pop())
         else:
             right = values.pop()
-            left = values.pop()
-            left_single = isinstance(left, SingleVertex)
-            right_single = isinstance(right, SingleVertex)
-            if left_single and right_single:
-                value = dp_union_leaf_leaf(left.vertex, right.vertex, weights)
-            elif left_single:
-                value = dp_union_leaf_table(left.vertex, right, weights)
-            elif right_single:
-                value = dp_union_leaf_table(right.vertex, left, weights)
-            else:
-                value = dp_union_table_table(left, right)
+            value = dp_union(values.pop(), right)
         values.append(value)
         if trace is not None:
             trace.append((node, value))
@@ -233,39 +201,27 @@ def entry_vertices(entry: Entry) -> frozenset[int]:
     out: list[int] = []
     stack = [entry]
     while stack:
-        how = stack.pop().how
-        tag = how[0]
-        if tag == "pair":
-            out.append(how[1])
-            out.append(how[2])
-        elif tag == "add":
-            out.append(how[1])
-            stack.append(how[2])
-        elif tag == "skip":
-            stack.append(how[1])
-        else:
-            stack.append(how[1])
-            stack.append(how[2])
+        e = stack.pop()
+        if e.right is not None:
+            stack.append(e.left)
+            stack.append(e.right)
+        elif e.left is not None:
+            out.append(e.left)
     return frozenset(out)
 
 
-def finite_states(value: DpValue) -> dict[tuple[int, int, int, int], Entry]:
+def finite_states(table: Table) -> dict[tuple[int, int, int, int], Entry]:
     """Finite table entries keyed by their flag tuple (for tests and display)."""
-    if isinstance(value, SingleVertex):
-        return {}
-    return {state_tuple(i): e for i, e in enumerate(value) if e is not None}
+    return {state_tuple(i): e for i, e in enumerate(table) if e is not None}
 
 
-def extract_connected_min(value: DpValue) -> tuple[Weight, frozenset[int]]:
+def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
     """Cheapest finite entry of a root table, with its vertex set.
 
-    Ties go to the lexicographically smallest flag tuple. Only meaningful
-    for subtrees with at least two leaves (single vertices have no table).
+    Ties go to the lexicographically smallest flag tuple.
     """
-    if isinstance(value, SingleVertex):
-        raise TypeError("a single-vertex subtree has no state table")
     best = None
-    for e in value:
+    for e in table:
         if e is not None and (best is None or e.weight < best.weight):
             best = e
     if best is None:
@@ -290,11 +246,13 @@ class ComponentOutcome:
 
 @dataclass(frozen=True)
 class Solution:
-    """Total weight, chosen vertex set and the per-component breakdown."""
+    """Total weight, chosen vertex set, the per-component breakdown and the
+    cotree of the whole graph that the solver ran on."""
 
     weight: Weight
     vertices: tuple[int, ...]
     components: tuple[ComponentOutcome, ...]
+    tree: Cotree = field(repr=False)
 
     def verify(self, g: Graph) -> bool:
         """Re-check the certificate: the chosen set is fault-tolerant for ``g``."""
@@ -303,62 +261,40 @@ class Solution:
         return is_fault_tolerant(g, set(self.vertices))
 
 
-def _check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
-    if weights is None:
-        return [1] * g.n
-    w = list(weights)
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
-    for v, x in enumerate(w):
-        if x < 0:
-            raise ValueError(f"negative weight {x} at vertex {v}")
-    return w
-
-
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
     """Minimum-weight fault-tolerant resolving set of a vertex-weighted cograph.
 
-    Components with at least two vertices are solved independently over
-    their cotrees. All isolated vertices are included when there are at
-    least two of them; a single isolated vertex is excluded (the other
-    components already separate it twice, and with no other vertices the
-    condition is vacuous). Raises ``NotCographError`` if any component is
-    not a cograph and ``EmptyGraphError`` for the empty graph.
+    One cotree is built for the whole graph. The subtrees under its root's
+    union chain, left to right, are the connected components in ascending
+    order of their smallest vertex; the leaves among them are the isolated
+    vertices. Components with at least two vertices are solved
+    independently by the dynamic program. All isolated vertices are
+    included when there are at least two of them; a single isolated vertex
+    is excluded (the other components already separate it twice, and with
+    no other vertices the condition is vacuous). Raises ``NotCographError``
+    if the graph is not a cograph and ``EmptyGraphError`` for the empty
+    graph.
     """
     if g.n == 0:
         raise EmptyGraphError("the empty graph has no solution")
-    w = _check_weights(g, weights)
-    components = connected_components(g)
-    isolated_total = sum(1 for comp in components if len(comp) == 1)
-    include_isolated = isolated_total >= 2
+    w = check_weights(g, weights)
+    tree = build_cotree(g)
+    parts = root_components(tree)
+    include_isolated = sum(isinstance(part, Leaf) for part in parts) >= 2
 
     outcomes = []
-    for comp in components:
-        members = tuple(sorted(comp))
-        if len(comp) == 1:
-            v = members[0]
+    for part in parts:
+        if isinstance(part, Leaf):
+            v = part.vertex
             if include_isolated:
-                outcomes.append(
-                    ComponentOutcome(members, (v,), w[v], "isolated-included")
-                )
+                outcomes.append(ComponentOutcome((v,), (v,), w[v], "isolated-included"))
             else:
-                outcomes.append(ComponentOutcome(members, (), 0, "isolated-excluded"))
+                outcomes.append(ComponentOutcome((v,), (), 0, "isolated-excluded"))
             continue
-        sub, old_to_new = induced_subgraph(g, comp)
-        new_to_old = {new: old for old, new in old_to_new.items()}
-        try:
-            tree = build_cotree(sub)
-        except NotCographError as err:
-            witness = err.witness
-            if witness is not None:
-                witness = tuple(new_to_old[v] for v in witness)
-            raise NotCographError(witness) from None
-        sub_weights = [w[new_to_old[i]] for i in range(sub.n)]
-        value = dp_run(tree, sub_weights)
-        weight, chosen_local = extract_connected_min(value)
-        chosen = tuple(sorted(new_to_old[v] for v in chosen_local))
-        outcomes.append(ComponentOutcome(members, chosen, weight, "solved"))
+        weight, chosen = extract_connected_min(dp_run(part, w))
+        members = tuple(sorted(leaf_labels(part)))
+        outcomes.append(ComponentOutcome(members, tuple(sorted(chosen)), weight, "solved"))
 
     total: Weight = sum(o.weight for o in outcomes)
     vertices = tuple(sorted(v for o in outcomes for v in o.chosen))
-    return Solution(total, vertices, tuple(outcomes))
+    return Solution(total, vertices, tuple(outcomes), tree)

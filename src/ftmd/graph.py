@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+Weight = int | float
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,23 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(frozenset(s) for s in adj))
+
+
+def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
+    """One weight per vertex as a list; ``None`` stands for unit weights.
+
+    Raises ``ValueError`` when the count differs from ``g.n`` or a weight is
+    negative.
+    """
+    if weights is None:
+        return [1] * g.n
+    w = list(weights)
+    if len(w) != g.n:
+        raise ValueError(f"expected {g.n} weights, got {len(w)}")
+    for v, x in enumerate(w):
+        if x < 0:
+            raise ValueError(f"negative weight {x} at vertex {v}")
+    return w
 
 
 def complement(g: Graph) -> Graph:

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, bfs_distances
+from .graph import Graph, Weight, bfs_distances, check_weights
 
 MAX_VERTICES = 20
-
-Weight = int | float
 
 
 @dataclass(frozen=True)
@@ -34,18 +32,6 @@ def _guard(g: Graph) -> None:
         raise ValueError(
             f"oracle enumeration is limited to {MAX_VERTICES} vertices, got {g.n}"
         )
-
-
-def _weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
-    if weights is None:
-        return [1] * g.n
-    w = list(weights)
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
-    for v, x in enumerate(w):
-        if x < 0:
-            raise ValueError(f"negative weight {x} at vertex {v}")
-    return w
 
 
 def _resolver_masks(g: Graph) -> list[int]:
@@ -109,13 +95,13 @@ def _min_weight_subset(
 def oracle_min_ft(g: Graph, weights: Sequence[Weight] | None = None) -> OracleResult:
     """Exhaustive minimum-weight fault-tolerant resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, _weights(g, weights), _resolver_masks(g), 2)
+    return _min_weight_subset(g.n, check_weights(g, weights), _resolver_masks(g), 2)
 
 
 def oracle_min_2nr(g: Graph, weights: Sequence[Weight] | None = None) -> OracleResult:
     """Exhaustive minimum-weight 2-neighbourhood-resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, _weights(g, weights), _h_support_masks(g), 2)
+    return _min_weight_subset(g.n, check_weights(g, weights), _h_support_masks(g), 2)
 
 
 def oracle_min_resolving(
@@ -123,4 +109,4 @@ def oracle_min_resolving(
 ) -> OracleResult:
     """Exhaustive minimum-weight resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, _weights(g, weights), _resolver_masks(g), 1)
+    return _min_weight_subset(g.n, check_weights(g, weights), _resolver_masks(g), 1)

@@ -8,8 +8,8 @@ import statistics
 from itertools import combinations
 
 from ftmd import (
+    Leaf,
     NotCographError,
-    SingleVertex,
     build_cotree,
     complement,
     connected_components,
@@ -21,7 +21,6 @@ from ftmd import (
     from_edges,
     is_2nr,
     is_fault_tolerant,
-    k_vertex_profile,
     leaf_count,
     leaf_labels,
     oracle_min_ft,
@@ -29,9 +28,9 @@ from ftmd import (
     realize,
     relabel,
     solve,
-    state_signature,
 )
 from ftmd.bench import doubling_ratios, run_scaling
+from signatures import k_vertex_profile, state_signature
 from strategies import enumerate_cotrees, graph_key
 
 
@@ -170,8 +169,6 @@ def test_criterion_4_state_signature_soundness():
         trace = []
         dp_run(tree, [1] * leaf_count(tree), trace=trace)
         for node, value in trace:
-            if isinstance(value, SingleVertex):
-                continue
             sub, rank = subtree_graph(node)
             for key, entry in finite_states(value).items():
                 chosen = frozenset(rank[v] for v in entry_vertices(entry))
@@ -194,7 +191,7 @@ def test_criterion_5_structural_infeasibility():
         trace = []
         dp_run(tree, weights, trace=trace)
         for node, value in trace:
-            if isinstance(value, SingleVertex):
+            if isinstance(node, Leaf):
                 continue
             tables += 1
             keys = set(finite_states(value))

@@ -56,6 +56,29 @@ def test_solve_cotree_flag(capsys, p3_file):
     assert realize(parse_cotree(lines[2])) == from_edges(3, [(0, 1), (1, 2)])
 
 
+def test_solve_cotree_builds_one_cotree(capsys, tmp_path, monkeypatch):
+    import ftmd.cli
+    import ftmd.dp
+
+    calls = []
+    original = ftmd.dp.build_cotree
+
+    def counting(g):
+        calls.append(g.n)
+        return original(g)
+
+    for module in (ftmd.cli, ftmd.dp):
+        monkeypatch.setattr(module, "build_cotree", counting, raising=False)
+    # K2, P3 and two isolated vertices.
+    graph = write(tmp_path, "g.txt", "7 3\n0 1\n2 3\n3 4\n")
+    code, out, _ = run(capsys, ["solve", graph, "--cotree"])
+    assert code == 0
+    assert calls == [7]
+    lines = out.splitlines()
+    assert lines[:2] == ["6", "0 1 2 4 5 6"]
+    assert realize(parse_cotree(lines[2])) == from_edges(7, [(0, 1), (2, 3), (3, 4)])
+
+
 def test_solve_verify_and_oracle(capsys, p3_file):
     code, out, err = run(capsys, ["solve", p3_file, "--verify", "--oracle"])
     assert code == 0

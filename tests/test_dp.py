@@ -9,14 +9,10 @@ from ftmd import (
     Entry,
     Leaf,
     NotCographError,
-    SingleVertex,
     build_cotree,
     complement_node,
     dp_complement,
     dp_run,
-    dp_union_leaf_leaf,
-    dp_union_leaf_table,
-    dp_union_table_table,
     entry_vertices,
     extract_connected_min,
     finite_states,
@@ -31,10 +27,11 @@ from ftmd import (
     relabel,
     solve,
     state_index,
-    state_signature,
     state_tuple,
     union_node,
 )
+from ftmd.dp import dp_leaf, dp_union
+from signatures import state_signature
 from strategies import enumerate_cotrees
 
 
@@ -42,12 +39,16 @@ def table_of(states):
     """Build a 16-slot table from {(a,b,c,d): weight} with dummy records."""
     out = [None] * 16
     for key, weight in states.items():
-        out[state_index(*key)] = Entry(weight, ("pair", 0, 1))
+        out[state_index(*key)] = Entry(weight, 0, None)
     return tuple(out)
 
 
 def weights_of(value):
     return {k: e.weight for k, e in finite_states(value).items()}
+
+
+def sets_of(value):
+    return {k: (e.weight, entry_vertices(e)) for k, e in finite_states(value).items()}
 
 
 def test_state_tuple_roundtrip():
@@ -71,18 +72,18 @@ def test_dp_complement_is_involution():
 
 
 def test_dp_complement_keeps_single_vertex():
-    v = SingleVertex(3)
-    assert dp_complement(v) is v
+    t = dp_leaf(3, 5)
+    assert dp_complement(t) == t
 
 
 def test_leaf_leaf_unit_weights():
-    t = dp_union_leaf_leaf(0, 1, [1, 1])
+    t = dp_union(dp_leaf(0, 1), dp_leaf(1, 1))
     assert weights_of(t) == {(0, 1, 0, 0): 2}
     assert sum(e is not None for e in t) == 1
 
 
 def test_leaf_leaf_weighted_and_reconstruction():
-    t = dp_union_leaf_leaf(0, 1, [3, 5])
+    t = dp_union(dp_leaf(0, 3), dp_leaf(1, 5))
     entry = finite_states(t)[(0, 1, 0, 0)]
     assert entry.weight == 8
     assert entry_vertices(entry) == frozenset({0, 1})
@@ -90,9 +91,9 @@ def test_leaf_leaf_weighted_and_reconstruction():
 
 def test_leaf_table_with_k2_table():
     # The table of K2 over vertices {1, 2}: only (0,0,1,0) is feasible.
-    k2_table = dp_complement(dp_union_leaf_leaf(1, 2, [0, 1, 1]))
+    k2_table = dp_complement(dp_union(dp_leaf(1, 1), dp_leaf(2, 1)))
     assert weights_of(k2_table) == {(0, 0, 1, 0): 2}
-    result = dp_union_leaf_table(0, k2_table, [1, 1, 1])
+    result = dp_union(dp_leaf(0, 1), k2_table)
     # Choosing the isolated vertex adds its weight; leaving it out keeps
     # the K2 entry and records the 0-vertex.
     assert weights_of(result) == {(0, 1, 0, 0): 3, (1, 0, 1, 0): 2}
@@ -102,19 +103,19 @@ def test_leaf_table_with_k2_table():
 
 def test_leaf_table_all_infeasible_propagates():
     empty = (None,) * 16
-    assert dp_union_leaf_table(0, empty, [1]) == empty
+    assert dp_union(dp_leaf(0, 1), empty) == empty
 
 
 def test_leaf_table_zero_weight_leaf():
-    k2_table = dp_complement(dp_union_leaf_leaf(1, 2, [0, 1, 1]))
-    result = dp_union_leaf_table(0, k2_table, [0, 1, 1])
+    k2_table = dp_complement(dp_union(dp_leaf(1, 1), dp_leaf(2, 1)))
+    result = dp_union(dp_leaf(0, 0), k2_table)
     assert weights_of(result)[(0, 1, 0, 0)] == 2
 
 
 def test_table_table_two_k2_tables():
-    t1 = dp_complement(dp_union_leaf_leaf(0, 1, [1, 1, 1, 1]))
-    t2 = dp_complement(dp_union_leaf_leaf(2, 3, [1, 1, 1, 1]))
-    result = dp_union_table_table(t1, t2)
+    t1 = dp_complement(dp_union(dp_leaf(0, 1), dp_leaf(1, 1)))
+    t2 = dp_complement(dp_union(dp_leaf(2, 1), dp_leaf(3, 1)))
+    result = dp_union(t1, t2)
     assert weights_of(result) == {(0, 0, 0, 0): 4}
     e = finite_states(result)[(0, 0, 0, 0)]
     assert entry_vertices(e) == frozenset({0, 1, 2, 3})
@@ -123,7 +124,7 @@ def test_table_table_two_k2_tables():
 def test_table_table_direct_formula():
     t1 = table_of({(0, 0, 0, 0): 5})
     t2 = table_of({(0, 0, 1, 1): 7})
-    result = dp_union_table_table(t1, t2)
+    result = dp_union(t1, t2)
     assert weights_of(result) == {(0, 0, 0, 0): 12}
 
 
@@ -137,12 +138,15 @@ def test_table_table_finite_positions_are_restricted():
         states2 = {
             state_tuple(i): rng.randint(0, 9) for i in rng.sample(range(16), 5)
         }
-        result = dp_union_table_table(table_of(states1), table_of(states2))
+        result = dp_union(table_of(states1), table_of(states2))
         assert set(weights_of(result)) <= allowed
 
 
 def test_dp_run_leaf_is_single_vertex():
-    assert dp_run(Leaf(0), [1]) == SingleVertex(0)
+    assert sets_of(dp_run(Leaf(0), [7])) == {
+        (0, 1, 1, 0): (7, frozenset({0})),
+        (1, 0, 0, 1): (0, frozenset()),
+    }
 
 
 def test_dp_run_k2():
@@ -163,12 +167,12 @@ def test_leaf_table_is_symmetric_in_child_order():
     left = union_node(Leaf(0), inner)
     right = union_node(inner, Leaf(0))
     w = [1, 2, 3]
-    assert dp_run(left, w) == dp_run(right, w)
+    assert sets_of(dp_run(left, w)) == sets_of(dp_run(right, w))
 
 
-def test_extract_rejects_single_vertex():
-    with pytest.raises(TypeError):
-        extract_connected_min(SingleVertex(0))
+def test_extract_on_leaf_gives_empty_set():
+    # Agrees with solve() on a single vertex: nothing needs separating.
+    assert extract_connected_min(dp_run(Leaf(0), [1])) == (0, frozenset())
 
 
 def test_extract_rejects_all_infeasible():
@@ -204,17 +208,15 @@ def _subtree_graph_and_map(node):
 def test_tables_match_bruteforce_per_signature():
     """Every finite entry is the exact minimum over sets with its signature."""
     rng = random.Random(42)
-    for tree in enumerate_cotrees(5):
+    for tree in enumerate_cotrees(6):
         n = leaf_count(tree)
         for weights in ([1] * n, [rng.randint(0, 6) for _ in range(n)]):
             value = dp_run(tree, weights)
-            if isinstance(value, SingleVertex):
-                continue
             g = realize(tree)
             brute = {}
             for bits in range(1 << n):
                 r = frozenset(v for v in range(n) if bits >> v & 1)
-                if len(r) < 2 or not is_2nr(g, r):
+                if not is_2nr(g, r):
                     continue
                 sig = state_signature(g, r)
                 wt = sum(weights[v] for v in r)
@@ -226,8 +228,6 @@ def test_tables_match_bruteforce_per_signature():
 def test_root_minimum_matches_2nr_oracle():
     for tree in enumerate_cotrees(5):
         value = dp_run(tree, [1] * leaf_count(tree))
-        if isinstance(value, SingleVertex):
-            continue
         g = realize(tree)
         weight, chosen = extract_connected_min(value)
         assert weight == oracle_min_2nr(g).weight
@@ -239,15 +239,14 @@ def test_no_entry_ever_claims_0_and_1_vertices_together():
         trace = []
         dp_run(tree, [1] * leaf_count(tree), trace=trace)
         for _, value in trace:
-            if isinstance(value, SingleVertex):
-                continue
             for key in finite_states(value):
                 assert key[:2] != (1, 1)
 
 
 def test_tables_hold_at_most_six_finite_entries():
-    # Case analysis bound: 1 (leaf-leaf), 6 (leaf-table), 3 (table-table);
-    # complementing only permutes. Keeps per-node work constant.
+    # Case analysis bound: 2 (leaf), 1 (leaf-leaf), 6 (leaf-table),
+    # 3 (table-table); complementing only permutes. Keeps per-node work
+    # constant.
     rng = random.Random(11)
     for _ in range(100):
         n = rng.randint(2, 40)
@@ -255,8 +254,7 @@ def test_tables_hold_at_most_six_finite_entries():
         trace = []
         dp_run(tree, [rng.randint(0, 5) for _ in range(n)], trace=trace)
         for _, value in trace:
-            if not isinstance(value, SingleVertex):
-                assert len(finite_states(value)) <= 6
+            assert len(finite_states(value)) <= 6
 
 
 def test_trace_signatures_are_sound_on_subtrees():
@@ -264,8 +262,6 @@ def test_trace_signatures_are_sound_on_subtrees():
         trace = []
         dp_run(tree, [1] * leaf_count(tree), trace=trace)
         for node, value in trace:
-            if isinstance(value, SingleVertex):
-                continue
             sub, rank = _subtree_graph_and_map(node)
             for key, entry in finite_states(value).items():
                 chosen = frozenset(rank[v] for v in entry_vertices(entry))
@@ -290,6 +286,13 @@ def test_solve_excludes_a_single_isolated_vertex():
     assert solution.weight == 2
     assert solution.vertices == (0, 1)
     assert solution.components[1].kind == "isolated-excluded"
+
+
+def test_solve_keeps_the_cotree_of_the_whole_graph():
+    g = from_edges(5, [(0, 1), (2, 3)])
+    solution = solve(g)
+    assert realize(solution.tree) == g
+    assert [o.vertices for o in solution.components] == [(0, 1), (2, 3), (4,)]
 
 
 def test_solve_single_vertex():

@@ -10,9 +10,8 @@ from ftmd import (
     is_fault_tolerant,
     is_k_resolving,
     is_resolving,
-    k_vertex_profile,
-    state_signature,
 )
+from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs_with_subset,
     connected_cographs,
