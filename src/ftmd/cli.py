@@ -11,6 +11,7 @@ Exit codes: 0 success / YES, 1 I/O, parse or usage error, 2 not a cograph,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -109,6 +110,8 @@ def read_weights(path: str, n: int) -> list[int | float]:
             raise FileFormatError(path, line_no, f"vertex {v} out of range for n={n}")
         if v in listed:
             raise FileFormatError(path, line_no, f"vertex {v} listed twice")
+        if isinstance(w, float) and not math.isfinite(w):
+            raise FileFormatError(path, line_no, f"non-finite weight for vertex {v}")
         if w < 0:
             raise FileFormatError(path, line_no, f"negative weight for vertex {v}")
         listed.add(v)

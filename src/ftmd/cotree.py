@@ -4,6 +4,13 @@ A cotree is a leaf / binary-union / unary-complement expression tree whose
 leaves carry the vertex ids of the graph it realizes. Trees are normalized:
 a complement node never sits directly under another complement node.
 
+``build_cotree`` recognises a cograph by twin reduction: it merges vertices
+with equal open or closed neighbourhoods until one is left, in O(n + m)
+expected time, and rewrites the merges into one canonical tree. ``realize``
+goes the other way in O(n + m), reading adjacency off the complement parity
+above each union node. ``find_induced_p4`` is the brute-force
+non-cograph certificate.
+
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
 linearly with the vertex count, which would overflow the recursion limit.
@@ -17,17 +24,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graph import (
-    Graph,
-    complement,
-    connected_components,
-    disjoint_union,
-    induced_subgraph,
-)
+from .graph import Graph
 
-# Witness extraction enumerates 4-subsets of the failing subgraph; beyond
-# this size the error is raised without a witness.
+# A rejected graph leaves a twin-free remainder; up to this many vertices,
+# enumerating its 4-subsets for an induced path takes at most a few seconds.
+# Beyond it the error is raised without a witness.
 _WITNESS_SEARCH_LIMIT = 64
+# Twin kinds: false twins share N(v), true twins share N[v].
+_FALSE, _TRUE = 0, 1
+# Seed of the vertex codes, fixed so that merge order and witnesses repeat.
+_CODE_SEED = 0x5EED
 
 
 class EmptyGraphError(ValueError):
@@ -170,26 +176,35 @@ def realize(t: Cotree) -> Graph:
     children, a complement node the graph complement of its child. Leaf
     labels must form exactly ``0 .. n-1``; vertex ``v`` of the result is the
     leaf labelled ``v``.
+
+    Two leaves are adjacent exactly when an odd number of complement nodes
+    lie above their lowest common union node. A subtree's leaves are a
+    contiguous slice of ``leaf_labels(t)``, so each such union node joins its
+    two slices in bulk; the cost is O(n + m).
     """
-    values: list[tuple[Graph, list[int]]] = []
-    for node in iter_nodes(t):
-        if isinstance(node, Leaf):
-            values.append((Graph(1, (frozenset(),)), [node.vertex]))
-        elif isinstance(node, Complement):
-            graph, labels = values.pop()
-            values.append((complement(graph), labels))
-        else:
-            g2, l2 = values.pop()
-            g1, l1 = values.pop()
-            values.append((disjoint_union(g1, g2), l1 + l2))
-    graph, labels = values[0]
-    n = graph.n
+    labels = leaf_labels(t)
+    n = len(labels)
     if sorted(labels) != list(range(n)):
         raise ValueError("cotree leaves must be labelled 0 .. n-1 exactly once")
-    adj: list[frozenset[int]] = [frozenset()] * n
-    for i in range(n):
-        adj[labels[i]] = frozenset(labels[j] for j in graph.adj[i])
-    return Graph(n, tuple(adj))
+    adj: list[set[int]] = [set() for _ in range(n)]
+    # (node, index of its first leaf in labels, complement parity above it)
+    stack: list[tuple[Cotree, int, bool]] = [(t, 0, False)]
+    while stack:
+        node, start, odd = stack.pop()
+        if isinstance(node, Complement):
+            stack.append((node.child, start, not odd))
+        elif isinstance(node, Union):
+            mid = start + leaf_count(node.left)
+            if odd:
+                left = labels[start:mid]
+                right = labels[mid : start + node.leaves]
+                for u in left:
+                    adj[u].update(right)
+                for v in right:
+                    adj[v].update(left)
+            stack.append((node.left, start, odd))
+            stack.append((node.right, mid, odd))
+    return Graph(n, tuple(map(frozenset, adj)))
 
 
 def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
@@ -213,71 +228,170 @@ def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
 
 
 def build_cotree(g: Graph) -> Cotree:
-    """Decompose a graph into a normalized cotree.
+    """Decompose a graph into a normalized cotree by twin reduction.
 
-    A single vertex is a leaf. A disconnected graph is the left-deep union
-    chain of its components, taken in ascending order of smallest vertex id.
-    A connected graph with two or more vertices is the complement of the
-    cotree of its complement graph; if that complement is also connected the
-    graph is not a cograph.
+    Every cograph with two or more vertices has a pair of twins: false twins
+    share their open neighbourhood and merge under a union node, true twins
+    share their closed neighbourhood and merge under a join (the complement
+    of a union). Merging one twin into the other leaves a cograph, so the graph
+    is a cograph exactly when repeated merges leave one vertex.
+
+    The result is canonical, the tree the component/co-component
+    decomposition gives: a single vertex is a leaf; a disconnected graph is
+    the left-deep union chain of its components, in ascending order of
+    smallest vertex id; a connected graph with two or more vertices is the
+    complement of the cotree of its complement graph.
+
+    Every live vertex stands for the module merged into it and carries the
+    sum of its members' random codes, so a neighbourhood's code sum never
+    changes when two of its members merge. Twin candidates therefore come
+    out of hash buckets, and each is checked exactly before it merges: a
+    collision costs time, never correctness. Each check and each merge costs
+    O(degree) of the vertex it removes, so the reduction takes O(n + m)
+    expected time; sorting each node's children adds O(n log n).
+
+    A graph is rejected when no twins are left among two or more live
+    vertices. Those vertices induce a graph with no twins, which contains an
+    induced 4-vertex path; while there are at most ``_WITNESS_SEARCH_LIMIT``
+    of them, ``NotCographError.witness`` is one such path in original ids.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         raise EmptyGraphError("cannot build a cotree for the empty graph")
+    rng = random.Random(_CODE_SEED)
+    code = [rng.getrandbits(64) for _ in range(n)]
+    adj: list[set[int]] = [set(s) for s in g.adj]
+    live = [True] * n
+    # Code sum over the live neighbours; a true-twin key adds the own code.
+    open_sum = [sum(map(code.__getitem__, s)) for s in adj]
+    buckets: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
+    for v in range(n):
+        buckets[_FALSE].setdefault(open_sum[v], []).append(v)
+        buckets[_TRUE].setdefault(open_sum[v] + code[v], []).append(v)
+    todo = [
+        (kind, k)
+        for kind in (_FALSE, _TRUE)
+        for k, vs in buckets[kind].items()
+        if len(vs) > 1
+    ]
+    # Merge node n + i puts the subtrees merges[i][1] under one node of kind
+    # merges[i][0]; top[v] is the subtree of live vertex v's module.
+    merges: list[tuple[int, list[int]]] = []
+    top = list(range(n))
 
-    # Plan entries are created parents-first, so assembling in reverse order
-    # sees every child before its parent.
-    plan: list[tuple] = []
-    tasks: list[tuple[Graph, list[int], int]] = []
+    def key(kind: int, v: int) -> int:
+        return open_sum[v] + code[v] if kind == _TRUE else open_sum[v]
 
-    def new_task(graph: Graph, ids: list[int]) -> int:
-        slot = len(plan)
-        plan.append(())
-        tasks.append((graph, ids, slot))
-        return slot
+    def twins(kind: int, a: int, b: int) -> bool:
+        if kind == _FALSE:
+            return adj[a] == adj[b]
+        if b not in adj[a]:
+            return False
+        adj[a].discard(b)
+        adj[b].discard(a)
+        if adj[a] == adj[b]:
+            return True
+        adj[a].add(b)
+        adj[b].add(a)
+        return False
 
-    root_slot = new_task(g, list(range(g.n)))
-    while tasks:
-        graph, ids, slot = tasks.pop()
-        if graph.n == 1:
-            plan[slot] = ("leaf", ids[0])
+    while todo:
+        kind, k = todo.pop()
+        # Entries go stale when their vertex is absorbed or its key changes.
+        members = [v for v in buckets[kind][k] if live[v] and key(kind, v) == k]
+        kept: list[int] = []
+        while len(members) > 1:
+            a, rest, group = members[0], [], [top[members[0]]]
+            for b in members[1:]:
+                if b == a or not live[b]:
+                    continue
+                if not twins(kind, a, b):
+                    rest.append(b)  # a hash collision
+                    continue
+                # Absorb b into a: no other vertex's key changes, and a's
+                # key of this kind stays.
+                for w in adj[b]:
+                    adj[w].discard(b)
+                adj[b].clear()
+                live[b] = False
+                if kind == _TRUE:
+                    open_sum[a] -= code[b]
+                code[a] += code[b]
+                group.append(top[b])
+            if len(group) > 1:
+                merges.append((kind, group))
+                top[a] = n + len(merges) - 1
+                other = 1 - kind
+                k_other = key(other, a)
+                bucket = buckets[other].setdefault(k_other, [])
+                bucket.append(a)
+                if len(bucket) > 1:
+                    todo.append((other, k_other))
+            kept.append(a)
+            members = rest
+        buckets[kind][k] = kept + members
+
+    remaining = [v for v in range(n) if live[v]]
+    if len(remaining) > 1:
+        witness = None
+        if len(remaining) <= _WITNESS_SEARCH_LIMIT:
+            # adj now holds the subgraph induced by the remaining vertices;
+            # it has no twins, so it is no cograph and has an induced P4.
+            local = {v: i for i, v in enumerate(remaining)}
+            sub = Graph(
+                len(remaining),
+                tuple(frozenset(map(local.__getitem__, adj[v])) for v in remaining),
+            )
+            witness = tuple(remaining[i] for i in find_induced_p4(sub))
+        raise NotCographError(witness)
+    return _canonical_tree(n, merges, top[remaining[0]])
+
+
+def _canonical_tree(n: int, merges: list[tuple[int, list[int]]], root: int) -> Cotree:
+    """Rewrite a merge tree as the canonical cotree.
+
+    Node ids below ``n`` are leaves; id ``n + i`` is ``merges[i]``. Nested
+    merges of one kind form one module node, whose children are listed in
+    ascending order of their smallest leaf: left-deep for a union, and for a
+    join the complement of the union of its children's complements, where a
+    complemented leaf stays the leaf.
+    """
+    children: dict[int, list[int]] = {}
+    order: list[int] = []  # module nodes, parents first
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x < n:
             continue
-        components = connected_components(graph)
-        if len(components) > 1:
-            child_slots = []
-            for comp in components:
-                sub, old_to_new = induced_subgraph(graph, comp)
-                sub_ids = [0] * len(comp)
-                for old, new in old_to_new.items():
-                    sub_ids[new] = ids[old]
-                child_slots.append(new_task(sub, sub_ids))
-            plan[slot] = ("union", child_slots)
-        else:
-            comp_graph = complement(graph)
-            if len(connected_components(comp_graph)) == 1:
-                witness = None
-                if graph.n <= _WITNESS_SEARCH_LIMIT:
-                    local = find_induced_p4(graph)
-                    if local is not None:
-                        witness = tuple(ids[v] for v in local)
-                raise NotCographError(witness)
-            plan[slot] = ("comp", new_task(comp_graph, ids))
+        order.append(x)
+        kind = merges[x - n][0]
+        kids: list[int] = []
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            if y >= n and merges[y - n][0] == kind:
+                frontier += merges[y - n][1]
+            else:
+                kids.append(y)
+        children[x] = kids
+        stack += kids
 
-    built: list[Cotree | None] = [None] * len(plan)
-    for i in range(len(plan) - 1, -1, -1):
-        kind = plan[i][0]
-        if kind == "leaf":
-            built[i] = Leaf(plan[i][1])
-        elif kind == "comp":
-            built[i] = complement_node(built[plan[i][1]])
-        else:
-            children = [built[j] for j in plan[i][1]]
-            acc = children[0]
-            for nxt in children[1:]:
-                acc = union_node(acc, nxt)
-            built[i] = acc
-    result = built[root_slot]
-    assert result is not None
-    return result
+    smallest = list(range(n)) + [0] * len(merges)
+    built: dict[int, Cotree] = {}
+    for x in reversed(order):
+        kids = children.pop(x)
+        kids.sort(key=smallest.__getitem__)
+        smallest[x] = smallest[kids[0]]
+        parts = [Leaf(c) if c < n else built.pop(c) for c in kids]
+        join = merges[x - n][0] == _TRUE
+        if join:
+            parts = [p if isinstance(p, Leaf) else complement_node(p) for p in parts]
+        acc, size = parts[0], leaf_count(parts[0])
+        for part in parts[1:]:
+            size += leaf_count(part)
+            acc = Union(acc, part, size)
+        built[x] = Complement(acc, size) if join else acc
+    return Leaf(root) if root < n else built[root]
 
 
 def random_cotree(n: int, seed: int) -> Cotree:

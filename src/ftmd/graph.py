@@ -8,6 +8,7 @@ meaningful on disconnected graphs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -76,7 +77,7 @@ def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
     """One weight per vertex as a list; ``None`` stands for unit weights.
 
     Raises ``ValueError`` when the count differs from ``g.n`` or a weight is
-    negative.
+    a ``bool``, NaN, infinite or negative.
     """
     if weights is None:
         return [1] * g.n
@@ -84,6 +85,10 @@ def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
     if len(w) != g.n:
         raise ValueError(f"expected {g.n} weights, got {len(w)}")
     for v, x in enumerate(w):
+        if isinstance(x, bool):
+            raise ValueError(f"boolean weight {x} at vertex {v}")
+        if x != x or x in (math.inf, -math.inf):
+            raise ValueError(f"non-finite weight {x} at vertex {v}")
         if x < 0:
             raise ValueError(f"negative weight {x} at vertex {v}")
     return w

@@ -1,0 +1,128 @@
+"""The recursive cograph recogniser and realizer, kept as test oracles.
+
+``build_cotree`` splits a graph into connected components, or complements a
+connected one and splits that, building induced subgraphs at every level;
+``realize`` builds a graph per cotree node. Both cost about n^3.2 on deep
+cotrees, so ``ftmd.cotree`` replaced them; tests check that the old and the
+new functions return the same trees and graphs.
+"""
+
+from ftmd.cotree import (
+    Complement,
+    Cotree,
+    EmptyGraphError,
+    Leaf,
+    NotCographError,
+    complement_node,
+    find_induced_p4,
+    iter_nodes,
+    union_node,
+)
+from ftmd.graph import (
+    Graph,
+    complement,
+    connected_components,
+    disjoint_union,
+    induced_subgraph,
+)
+
+# Witness extraction enumerates 4-subsets of the failing subgraph; beyond
+# this size the error is raised without a witness.
+_WITNESS_SEARCH_LIMIT = 64
+
+
+def build_cotree(g: Graph) -> Cotree:
+    """Decompose a graph into a normalized cotree.
+
+    A single vertex is a leaf. A disconnected graph is the left-deep union
+    chain of its components, taken in ascending order of smallest vertex id.
+    A connected graph with two or more vertices is the complement of the
+    cotree of its complement graph; if that complement is also connected the
+    graph is not a cograph.
+    """
+    if g.n == 0:
+        raise EmptyGraphError("cannot build a cotree for the empty graph")
+
+    # Plan entries are created parents-first, so assembling in reverse order
+    # sees every child before its parent.
+    plan: list[tuple] = []
+    tasks: list[tuple[Graph, list[int], int]] = []
+
+    def new_task(graph: Graph, ids: list[int]) -> int:
+        slot = len(plan)
+        plan.append(())
+        tasks.append((graph, ids, slot))
+        return slot
+
+    root_slot = new_task(g, list(range(g.n)))
+    while tasks:
+        graph, ids, slot = tasks.pop()
+        if graph.n == 1:
+            plan[slot] = ("leaf", ids[0])
+            continue
+        components = connected_components(graph)
+        if len(components) > 1:
+            child_slots = []
+            for comp in components:
+                sub, old_to_new = induced_subgraph(graph, comp)
+                sub_ids = [0] * len(comp)
+                for old, new in old_to_new.items():
+                    sub_ids[new] = ids[old]
+                child_slots.append(new_task(sub, sub_ids))
+            plan[slot] = ("union", child_slots)
+        else:
+            comp_graph = complement(graph)
+            if len(connected_components(comp_graph)) == 1:
+                witness = None
+                if graph.n <= _WITNESS_SEARCH_LIMIT:
+                    local = find_induced_p4(graph)
+                    if local is not None:
+                        witness = tuple(ids[v] for v in local)
+                raise NotCographError(witness)
+            plan[slot] = ("comp", new_task(comp_graph, ids))
+
+    built: list[Cotree | None] = [None] * len(plan)
+    for i in range(len(plan) - 1, -1, -1):
+        kind = plan[i][0]
+        if kind == "leaf":
+            built[i] = Leaf(plan[i][1])
+        elif kind == "comp":
+            built[i] = complement_node(built[plan[i][1]])
+        else:
+            children = [built[j] for j in plan[i][1]]
+            acc = children[0]
+            for nxt in children[1:]:
+                acc = union_node(acc, nxt)
+            built[i] = acc
+    result = built[root_slot]
+    assert result is not None
+    return result
+
+
+def realize(t: Cotree) -> Graph:
+    """Graph described by the cotree.
+
+    A leaf is a single vertex, a union node the disjoint union of its
+    children, a complement node the graph complement of its child. Leaf
+    labels must form exactly ``0 .. n-1``; vertex ``v`` of the result is the
+    leaf labelled ``v``.
+    """
+    values: list[tuple[Graph, list[int]]] = []
+    for node in iter_nodes(t):
+        if isinstance(node, Leaf):
+            values.append((Graph(1, (frozenset(),)), [node.vertex]))
+        elif isinstance(node, Complement):
+            graph, labels = values.pop()
+            values.append((complement(graph), labels))
+        else:
+            g2, l2 = values.pop()
+            g1, l1 = values.pop()
+            values.append((disjoint_union(g1, g2), l1 + l2))
+    graph, labels = values[0]
+    n = graph.n
+    if sorted(labels) != list(range(n)):
+        raise ValueError("cotree leaves must be labelled 0 .. n-1 exactly once")
+    adj: list[frozenset[int]] = [frozenset()] * n
+    for i in range(n):
+        adj[labels[i]] = frozenset(labels[j] for j in graph.adj[i])
+    return Graph(n, tuple(adj))

@@ -137,6 +137,10 @@ def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
         ("0 -1\n", "negative"),
         ("0 1\n0 2\n", "twice"),
         ("0 x\n", "'v w'"),
+        ("0 nan\n", "non-finite"),
+        ("0 inf\n", "non-finite"),
+        ("0 -Infinity\n", "non-finite"),
+        ("0 1e400\n", "non-finite"),
     ],
 )
 def test_weight_file_parse_errors(capsys, tmp_path, k2_file, body, fragment):

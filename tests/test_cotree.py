@@ -1,3 +1,5 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
@@ -26,6 +28,7 @@ from ftmd import (
     union_node,
 )
 from strategies import cotrees
+import reference_cotree
 
 
 def test_build_k2():
@@ -33,21 +36,32 @@ def test_build_k2():
     assert t == Complement(Union(Leaf(0), Leaf(1), 2), 2)
 
 
+def assert_induced_p4(g, witness):
+    assert witness is not None
+    a, b, c, d = witness
+    assert b in g.adj[a] and c in g.adj[b] and d in g.adj[c]
+    assert c not in g.adj[a] and d not in g.adj[a] and d not in g.adj[b]
+
+
 def test_build_rejects_p4_with_witness():
     p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotCographError) as exc:
         build_cotree(p4)
     assert "not a cograph" in str(exc.value)
-    witness = exc.value.witness
-    assert witness is not None
-    a, b, c, d = witness
-    edge_set = set(p4.edges())
+    assert_induced_p4(p4, exc.value.witness)
 
-    def adjacent(x, y):
-        return (min(x, y), max(x, y)) in edge_set
 
-    assert adjacent(a, b) and adjacent(b, c) and adjacent(c, d)
-    assert not adjacent(a, c) and not adjacent(a, d) and not adjacent(b, d)
+def test_witness_from_twin_free_remainder():
+    # P4 with K30, I30, K30, I30 substituted for its vertices: 120 vertices,
+    # too many for a 4-subset search, but twin reduction leaves one vertex per
+    # module.
+    blocks = [range(30 * i, 30 * i + 30) for i in range(4)]
+    edges = [(u, v) for i in (0, 2) for u, v in combinations(blocks[i], 2)]
+    edges += [(u, v) for i in range(3) for u in blocks[i] for v in blocks[i + 1]]
+    g = from_edges(120, edges)
+    with pytest.raises(NotCographError) as exc:
+        build_cotree(g)
+    assert_induced_p4(g, exc.value.witness)
 
 
 def test_build_rejects_empty_graph():
@@ -91,6 +105,93 @@ def test_realize_build_roundtrip_large_batch():
         n = rng.randint(1, 32)
         g = realize(random_cotree(n, rng.randrange(2**31)))
         assert realize(build_cotree(g)) == g
+
+
+def outcome(recognise, g):
+    try:
+        return format_cotree(recognise(g))
+    except NotCographError:
+        return None
+
+
+def test_build_matches_reference_on_all_small_graphs():
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            assert outcome(build_cotree, g) == outcome(reference_cotree.build_cotree, g)
+
+
+def test_build_matches_reference_on_relabelled_random_cotrees():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 300)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        t = relabel(random_cotree(n, rng.randrange(2**31)), dict(enumerate(labels)))
+        g = realize(t)
+        assert format_cotree(build_cotree(g)) == format_cotree(
+            reference_cotree.build_cotree(g)
+        )
+
+
+def test_realize_matches_reference():
+    rng = random.Random(99)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        labels = list(range(n))
+        rng.shuffle(labels)
+        t = relabel(random_cotree(n, rng.randrange(2**31)), dict(enumerate(labels)))
+        assert realize(t) == reference_cotree.realize(t)
+
+
+def threshold_chain(n):
+    """Canonical cotree of the threshold graph that adds vertex v isolated for
+    even v and dominating for odd v."""
+    t = Leaf(0)
+    for v in range(1, n):
+        if v % 2:
+            co = t if isinstance(t, Leaf) else complement_node(t)
+            t = complement_node(union_node(co, Leaf(v)))
+        else:
+            t = union_node(t, Leaf(v))
+    return t
+
+
+def timed_build(g):
+    start = time.perf_counter()
+    t = build_cotree(g)
+    return t, time.perf_counter() - start
+
+
+# The bounds below are generous: twin reduction needs well under a second on
+# each graph, while the recursive recogniser needs over a minute on the chain,
+# and quadratic handling of large hash buckets would exceed them on the
+# other two.
+def test_build_deep_threshold_chain_in_linear_time():
+    chain = threshold_chain(1024)
+    g = realize(chain)
+    assert sum(map(len, g.adj)) // 2 == 1024**2 // 4
+    t, seconds = timed_build(g)
+    # Dataclass equality recurses, and the chain is about 2n deep.
+    assert format_cotree(t) == format_cotree(chain)
+    assert seconds < 10
+
+
+def test_build_large_edgeless_graph_in_linear_time():
+    n = 2**16
+    t, seconds = timed_build(from_edges(n, []))
+    assert leaf_labels(t) == list(range(n))
+    assert node_count(t) == 2 * n - 1
+    assert seconds < 10
+
+
+def test_build_large_star_with_isolated_vertices_in_linear_time():
+    k = 2**15
+    g = from_edges(2 * k + 1, [(0, v) for v in range(1, k + 1)])
+    t, seconds = timed_build(g)
+    assert realize(t) == g
+    assert seconds < 10
 
 
 def test_union_chain_is_left_deep_and_ascending():

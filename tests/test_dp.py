@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -320,6 +321,9 @@ def test_solve_validates_weights():
         solve(g, [1])
     with pytest.raises(ValueError):
         solve(g, [1, -2])
+    for bad in ([True, False], [math.nan, 1], [math.inf, 1], [1, -math.inf]):
+        with pytest.raises(ValueError):
+            solve(g, bad)
 
 
 def test_solve_weight_stays_integer():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,9 @@ def test_oracle_validates_weights():
         oracle_min_ft(K2, [1])
     with pytest.raises(ValueError):
         oracle_min_ft(K2, [-1, 1])
+    for bad in ([True, False], [math.nan, 1], [math.inf, 1], [1, -math.inf]):
+        with pytest.raises(ValueError):
+            oracle_min_ft(K2, bad)
 
 
 @given(graphs(max_n=6))
