@@ -55,25 +55,54 @@ class NotCographError(Exception):
         super().__init__(f"not a cograph{detail}")
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """Equality and hashing over the post-order node stream.
+
+    The dataclass-generated methods recurse, which overflows the stack on
+    deep trees such as the threshold chains.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        return _signature(self) == _signature(other)
+
+    def __hash__(self) -> int:
+        return hash(_signature(self))
+
+
+@dataclass(frozen=True, eq=False)
+class Leaf(_Node):
     vertex: int
 
 
-@dataclass(frozen=True)
-class Union:
+@dataclass(frozen=True, eq=False)
+class Union(_Node):
     left: "Cotree"
     right: "Cotree"
     leaves: int
 
 
-@dataclass(frozen=True)
-class Complement:
+@dataclass(frozen=True, eq=False)
+class Complement(_Node):
     child: "Cotree"
     leaves: int
 
 
 Cotree = Leaf | Union | Complement
+
+
+def _signature(t: Cotree) -> tuple:
+    """Each node's kind with its vertex (leaf) or leaf count, in post-order.
+
+    Every kind has a fixed number of children, so this determines the tree.
+    """
+    return tuple(
+        (Leaf, node.vertex) if isinstance(node, Leaf) else (type(node), node.leaves)
+        for node in iter_nodes(t)
+    )
 
 
 def leaf_count(t: Cotree) -> int:

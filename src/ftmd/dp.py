@@ -54,6 +54,7 @@ from typing import NamedTuple, Sequence
 from .cotree import Complement, Cotree, Leaf, build_cotree
 from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
+from .resolving import weak_pair
 
 
 class Entry(NamedTuple):
@@ -255,10 +256,13 @@ class Solution:
     tree: Cotree = field(repr=False)
 
     def verify(self, g: Graph) -> bool:
-        """Re-check the certificate: the chosen set is fault-tolerant for ``g``."""
-        from .resolving import is_fault_tolerant
+        """Re-check the certificate: the chosen set is fault-tolerant for ``g``.
 
-        return is_fault_tolerant(g, set(self.vertices))
+        Runs ``resolving.weak_pair``, which uses neither the cotree nor the
+        tables: O(n^2) operations on n-bit masks for a cograph, and exact on
+        any graph.
+        """
+        return weak_pair(g, self.vertices) is None
 
 
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
@@ -274,6 +278,12 @@ def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
     no other vertices the condition is vacuous). Raises ``NotCographError``
     if the graph is not a cograph and ``EmptyGraphError`` for the empty
     graph.
+
+    Weights are summed and compared in their own arithmetic. ``int`` and
+    ``fractions.Fraction`` weights (the CLI reads decimals as fractions)
+    are exact; callers who pass floats get float arithmetic, where the
+    summation order can change the last digits and, at large magnitudes,
+    which of two nearly equal sets is cheaper.
     """
     if g.n == 0:
         raise EmptyGraphError("the empty graph has no solution")

@@ -1,15 +1,19 @@
-"""Definitional checkers for resolving-set variants.
+"""Checkers for resolving-set variants.
 
-These are deliberately direct implementations of the definitions (BFS
-distances, neighbourhood symmetric differences). The solver never calls
-them; tests and the brute-force oracle use them as ground truth.
+``weak_pair`` is the structural fault-tolerance certificate behind
+``Solution.verify`` and ``ftmd solve --verify``: adjacency bitsets and the
+diameter bound of connected cographs make it O(n^2) operations on n-bit
+masks. The other checkers are deliberately direct implementations of the
+definitions (BFS distances, neighbourhood symmetric differences); tests and
+the brute-force oracle use them as the ground truth that ``weak_pair`` is
+tested against.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph, bfs_distances
+from .graph import Graph, bfs_distances, connected_components
 
 VertexSet = Iterable[int]
 
@@ -91,3 +95,63 @@ def first_low_h_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
 def is_2nr(g: Graph, r: VertexSet) -> bool:
     """2-neighbourhood-resolving: ``h(u, v) >= 2`` for every pair."""
     return first_low_h_pair(g, r) is None
+
+
+def _mask(vertices: Iterable[int]) -> int:
+    """Bitset of distinct vertex ids."""
+    return sum(1 << v for v in vertices)
+
+
+def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
+    """A pair separated by fewer than two members of ``r``, or ``None`` when
+    ``r`` is fault-tolerant for ``g``.
+
+    Works on adjacency bitsets (``int`` masks):
+
+    - across components, ``x`` separates ``u`` and ``v`` exactly when it
+      lies in the component of ``u`` or of ``v``, so only the two
+      components holding the fewest members need a look;
+    - inside a component of diameter at most 2, distances are 0, 1 or 2, so
+      ``x`` separates ``u`` and ``v`` exactly when
+      ``x in {u, v} | (N(u) ^ N(v))``. Two members separate each other, so
+      only pairs with an endpoint outside ``r`` are scanned.
+
+    Connected cographs have diameter at most 2, so on a cograph this takes
+    O(n^2) operations on n-bit masks: at most one per edge to check the
+    diameter and one per scanned pair. The bound is checked, not assumed:
+    when some component is wider, the answer is
+    ``first_unresolved_pair(g, r, 2)``, so the result is exact on any graph.
+    """
+    members = frozenset(r)
+    chosen = _mask(members)
+    if chosen >> g.n:
+        raise ValueError(f"chosen vertex out of range for n={g.n}")
+    components = connected_components(g)
+    if len(components) > 1:
+        load = sorted((len(c & members), min(c)) for c in components)
+        (c1, v1), (c2, v2) = load[:2]
+        if c1 + c2 < 2:
+            return (min(v1, v2), max(v1, v2))
+    adj = [_mask(nbrs) for nbrs in g.adj]
+    for comp in components:
+        full = _mask(comp)
+        for u in comp:
+            # Vertices within distance 2 of u, until they cover the component.
+            reach = adj[u] | (1 << u)
+            for w in g.adj[u]:
+                if reach == full:
+                    break
+                reach |= adj[w]
+            if reach != full:
+                return first_unresolved_pair(g, members, 2)
+    hits = [a & chosen for a in adj]
+    own = [chosen & (1 << v) for v in range(g.n)]
+    for comp in components:
+        for u in comp:
+            if own[u]:
+                continue
+            hu = hits[u]
+            for v in comp:
+                if v != u and ((hu ^ hits[v]) | own[v]).bit_count() < 2:
+                    return (min(u, v), max(u, v))
+    return None

@@ -95,6 +95,15 @@ def enumerate_cotrees(max_leaves):
             yield materialize(shape, [0])
 
 
+def component_with_forced_0_vertex():
+    """Connected cograph whose unique minimum fault-tolerant set leaves one
+    vertex with no chosen closed neighbour. Two disjoint copies separate
+    fault tolerance from 2-neighbourhood resolution."""
+    # Vertices: 0 pendant-like, 1 hub joined to a 4-cycle 2-3-4-5.
+    edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5), (2, 5)]
+    return from_edges(6, edges)
+
+
 def graph_key(g):
     """Canonical key for labelled-graph deduplication."""
     return (g.n, tuple(g.edges()))

@@ -1,7 +1,10 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from ftmd import parse_cotree, realize, from_edges
-from ftmd.cli import main
+from ftmd.cli import format_weight, main
 
 
 def write(tmp_path, name, text):
@@ -84,6 +87,54 @@ def test_solve_verify_and_oracle(capsys, p3_file):
     assert code == 0
     assert err == ""
     assert out == "2\n0 2\n"
+
+
+def test_solve_verify_names_the_failing_pair(capsys, monkeypatch, p3_file):
+    import ftmd.cli
+
+    original = ftmd.cli.solve
+
+    def wrong(g, weights=None):
+        return replace(original(g, weights), vertices=(0, 1))
+
+    monkeypatch.setattr(ftmd.cli, "solve", wrong)
+    code, out, err = run(capsys, ["solve", p3_file, "--verify"])
+    assert code == 1
+    assert out == "2\n0 1\n"
+    assert err == (
+        "error: solution failed fault-tolerance verification: "
+        "pair 0 2 separated fewer than twice\n"
+    )
+
+
+def test_solve_decimal_weights_are_exact(capsys, tmp_path):
+    # As floats the solver summed 1.1 and the oracle 1.0999999999999999.
+    graph = write(tmp_path, "k3.txt", "3 3\n0 1\n0 2\n1 2\n")
+    weights = write(tmp_path, "w.txt", "0 0.3\n1 0.1\n2 0.7\n")
+    code, out, err = run(capsys, ["solve", graph, "--weights", weights, "--oracle"])
+    assert (code, out, err) == (0, "1.1\n0 1 2\n", "")
+
+
+def test_solve_prints_integral_decimal_total_as_integer(capsys, k2_file, tmp_path):
+    weights = write(tmp_path, "w.txt", "0 0.25\n1 .75\n")
+    code, out, _ = run(capsys, ["solve", k2_file, "--weights", weights])
+    assert (code, out) == (0, "1\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "weight,text",
+    [
+        (7, "7"),
+        (Fraction(6, 2), "3"),
+        (Fraction("1.1"), "1.1"),
+        (Fraction("0.0625"), "0.0625"),
+        (Fraction("12.50"), "12.5"),
+        (Fraction("1e-3"), "0.001"),
+        (Fraction("123456789.000000000000000001"), "123456789.000000000000000001"),
+    ],
+)
+def test_format_weight(weight, text):
+    assert format_weight(weight) == text
 
 
 def test_solve_oracle_rejected_beyond_limit(capsys, tmp_path):
@@ -169,6 +220,34 @@ def test_check_no_reports_pair(capsys, p3_file):
     assert out.startswith("NO: ")
     u, v = map(int, out.split(":")[1].split())
     assert (u, v) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "mode,vertices,pair,search",
+    [
+        ("resolving", ["1"], "0 2", "first_unresolved_pair"),
+        ("ft", ["0", "1"], "0 2", "first_unresolved_pair"),
+        ("2nr", ["0", "1"], "0 2", "first_low_h_pair"),
+    ],
+)
+def test_check_runs_one_pair_search(capsys, monkeypatch, p3_file, mode, vertices, pair, search):
+    import ftmd.cli
+    import ftmd.resolving
+
+    calls = []
+    original = getattr(ftmd.resolving, search)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # Also where the predicates look it up, so that a predicate evaluated
+    # beside the search would count.
+    for module in (ftmd.cli, ftmd.resolving):
+        monkeypatch.setattr(module, search, counting)
+    code, out, _ = run(capsys, ["check", p3_file, mode, *vertices])
+    assert (code, out) == (3, f"NO: {pair}\n")
+    assert len(calls) == 1
 
 
 def test_check_modes(capsys, p3_file):

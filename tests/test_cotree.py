@@ -25,6 +25,7 @@ from ftmd import (
     random_cotree,
     realize,
     relabel,
+    solve,
     union_node,
 )
 from strategies import cotrees
@@ -173,9 +174,11 @@ def test_build_deep_threshold_chain_in_linear_time():
     g = realize(chain)
     assert sum(map(len, g.adj)) // 2 == 1024**2 // 4
     t, seconds = timed_build(g)
-    # Dataclass equality recurses, and the chain is about 2n deep.
-    assert format_cotree(t) == format_cotree(chain)
     assert seconds < 10
+    # The chain is about 2n deep: equality and hashing must not recurse.
+    assert t == chain
+    assert hash(t) == hash(chain)
+    assert solve(g) == solve(g)
 
 
 def test_build_large_edgeless_graph_in_linear_time():
@@ -225,6 +228,21 @@ def test_random_cotree_is_deterministic_and_normalized(n, seed):
 def test_random_cotree_realizes_to_a_cograph(n, seed):
     g = realize(random_cotree(n, seed))
     build_cotree(g)  # must not raise
+
+
+def test_equality_and_hash_follow_the_tree():
+    a = union_node(Leaf(0), Leaf(1))
+    assert a == union_node(Leaf(0), Leaf(1))
+    assert hash(a) == hash(union_node(Leaf(0), Leaf(1)))
+    assert a != union_node(Leaf(1), Leaf(0))
+    assert a != complement_node(a)
+    assert a != Union(Leaf(0), Leaf(1), 3)
+    assert Leaf(0) != Leaf(1) and Leaf(0) != 0
+    # Same post-order leaves, different shape.
+    left = union_node(union_node(Leaf(0), Leaf(1)), Leaf(2))
+    right = union_node(Leaf(0), union_node(Leaf(1), Leaf(2)))
+    assert left != right
+    assert len({left, right, union_node(union_node(Leaf(0), Leaf(1)), Leaf(2))}) == 2
 
 
 def test_double_complement_collapses():

@@ -1,5 +1,8 @@
 import math
 import random
+import time
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -355,3 +358,21 @@ def test_solve_matches_oracle_with_random_weights(n, seed, wseed):
     assert solution.weight == oracle_min_ft(g, weights).weight
     assert is_fault_tolerant(g, set(solution.vertices))
     assert solution.verify(g)
+
+
+def test_decimal_weights_as_fractions_are_exact():
+    k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    weights = [Fraction("0.3"), Fraction("0.1"), Fraction("0.7")]
+    # As floats, 0.3 + 0.1 + 0.7 depends on the summation order.
+    assert solve(k3, weights).weight == Fraction("1.1") == oracle_min_ft(k3, weights).weight
+
+
+def test_verify_random_cograph_with_2048_vertices_in_seconds():
+    g = realize(random_cotree(2048, 0))
+    assert sum(map(len, g.adj)) // 2 > 10**6
+    solution = solve(g)
+    start = time.perf_counter()
+    assert solution.verify(g)
+    # Unit weights make the set minimum in size, so no vertex can go.
+    assert not replace(solution, vertices=solution.vertices[1:]).verify(g)
+    assert time.perf_counter() - start < 10

@@ -15,7 +15,7 @@ from ftmd import (
     oracle_min_ft,
     oracle_min_resolving,
 )
-from strategies import cographs, graphs
+from strategies import cographs, component_with_forced_0_vertex, graphs
 
 K2 = from_edges(2, [(0, 1)])
 P3 = from_edges(3, [(0, 1), (1, 2)])
@@ -101,16 +101,8 @@ def test_optimal_count():
     assert oracle_min_resolving(P3).optimal_count == 2
 
 
-def _component_with_forced_0_vertex():
-    """Connected cograph whose unique minimum fault-tolerant set leaves one
-    vertex with no chosen closed neighbour."""
-    # Vertices: 0 pendant-like, 1 hub joined to a 4-cycle 2-3-4-5.
-    edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5), (2, 5)]
-    return from_edges(6, edges)
-
-
 def test_disconnected_gap_between_ft_and_2nr():
-    side = _component_with_forced_0_vertex()
+    side = component_with_forced_0_vertex()
     assert len(connected_components(side)) == 1
     assert oracle_min_ft(side).weight == 4
     g = disjoint_union(side, side)

@@ -1,7 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+import hypothesis.strategies as st
 
+import ftmd.resolving
 from ftmd import (
+    bfs_distances,
     complement,
     disjoint_union,
     from_edges,
@@ -10,10 +13,15 @@ from ftmd import (
     is_fault_tolerant,
     is_k_resolving,
     is_resolving,
+    oracle_min_ft,
+    solve,
+    weak_pair,
 )
 from signatures import k_vertex_profile, state_signature
 from strategies import (
+    cographs,
     cographs_with_subset,
+    component_with_forced_0_vertex,
     connected_cographs,
     graphs_with_subset,
 )
@@ -186,3 +194,99 @@ def test_state_signature_closed_open_split():
     # On 2K1 both chosen vertices are 1-vertices and nothing is adjacent
     # to any chosen vertex.
     assert state_signature(from_edges(2, []), {0, 1}) == (0, 1, 0, 0)
+
+
+def separations(g, r, u, v):
+    """Members of ``r`` at different BFS distances from ``u`` and ``v``."""
+    rows = [bfs_distances(g, x).dist for x in r]
+    return sum(dist[u] != dist[v] for dist in rows)
+
+
+def assert_weak_pair_exact(g, r):
+    pair = weak_pair(g, r)
+    assert (pair is None) == is_fault_tolerant(g, r)
+    if pair is not None:
+        u, v = pair
+        assert 0 <= u < v < g.n
+        assert separations(g, r, u, v) < 2
+
+
+def subsets(n):
+    for bits in range(1 << n):
+        yield {v for v in range(n) if bits >> v & 1}
+
+
+def path(n):
+    return from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def cycle(n):
+    return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+@given(cographs_with_subset(max_n=12))
+def test_weak_pair_is_exact_on_cographs(gr):
+    assert_weak_pair_exact(*gr)
+
+
+@given(connected_cographs(min_n=2, max_n=12), st.data())
+def test_weak_pair_is_exact_on_optimal_sets_and_their_deletions(g, data):
+    best = solve(g).vertices
+    assert_weak_pair_exact(g, best)
+    assert weak_pair(g, best) is None
+    dropped = data.draw(st.sampled_from(best))
+    assert_weak_pair_exact(g, set(best) - {dropped})
+
+
+def test_weak_pair_is_exact_across_the_ft_2nr_gap():
+    side = component_with_forced_0_vertex()
+    g = disjoint_union(side, side)
+    ft = oracle_min_ft(g).witness
+    # Fault-tolerant but not 2-neighbourhood-resolving.
+    assert weak_pair(g, ft) is None and not is_2nr(g, ft)
+    for r in subsets(g.n):
+        assert_weak_pair_exact(g, r)
+
+
+def test_weak_pair_is_exact_on_paths_and_cycles():
+    # Paths from P4 and cycles from C6 on are wider than diameter 2; C5 is
+    # not a cograph but has diameter 2.
+    for g in [path(n) for n in range(1, 8)] + [cycle(n) for n in range(3, 9)]:
+        for r in subsets(g.n):
+            assert_weak_pair_exact(g, r)
+
+
+@given(cographs(min_n=4, max_n=10), st.data())
+def test_weak_pair_is_exact_on_a_cograph_plus_one_edge(g, data):
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]]
+    assume(non_edges)
+    g2 = from_edges(g.n, g.edges() + [data.draw(st.sampled_from(non_edges))])
+    assert_weak_pair_exact(g2, solve(g).vertices)
+    assert_weak_pair_exact(g2, data.draw(st.sets(st.integers(0, g.n - 1))))
+
+
+@given(graphs_with_subset())
+def test_weak_pair_is_exact_on_any_graph(gr):
+    assert_weak_pair_exact(*gr)
+
+
+@pytest.mark.parametrize(
+    "g,wide",
+    [(path(5), True), (cycle(6), True), (cycle(5), False), (complement(path(5)), False)],
+)
+def test_weak_pair_falls_back_only_beyond_diameter_2(monkeypatch, g, wide):
+    calls = []
+    original = ftmd.resolving.first_unresolved_pair
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ftmd.resolving, "first_unresolved_pair", counting)
+    weak_pair(g, range(g.n))
+    assert bool(calls) == wide
+
+
+def test_weak_pair_rejects_out_of_range_members():
+    with pytest.raises(ValueError):
+        weak_pair(K2, {2})
