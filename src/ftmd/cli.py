@@ -13,13 +13,14 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import TYPE_CHECKING, Sequence
+from collections import defaultdict
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bench import run_scaling
 from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
 from .dp import solve
-from .graph import Graph, from_edges
+from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
 from .resolving import first_low_h_pair, first_unresolved_pair, weak_pair
 
@@ -32,55 +33,83 @@ class FileFormatError(Exception):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
-def _content_lines(path: str) -> list[tuple[int, str]]:
-    """Line number and text of every non-blank, non-comment line."""
-    out = []
-    with open(path, "r", encoding="ascii") as handle:
-        for line_no, raw in enumerate(handle, 1):
-            text = raw.strip()
-            if not text or text.startswith("#"):
-                continue
-            out.append((line_no, text))
-    return out
+def _records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Line number and fields of every line that is neither blank nor a
+    comment, one line at a time."""
+    for line_no, line in enumerate(handle, 1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield line_no, fields
+
+
+def _finish_decoding(handle: TextIO) -> None:
+    """Decode the rest of a file before a format error in it is reported,
+    so that a decoding error anywhere in the file takes precedence."""
+    for _ in handle:
+        pass
 
 
 def read_edge_list(path: str) -> Graph:
-    """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v."""
-    lines = _content_lines(path)
-    if not lines:
-        raise FileFormatError(path, 1, "missing 'n m' header line")
-    header_no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise FileFormatError(path, header_no, "header must be 'n m'")
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise FileFormatError(path, header_no, "header must be two integers") from None
-    if n < 0 or m < 0:
-        raise FileFormatError(path, header_no, "n and m must be non-negative")
-    edge_lines = lines[1:]
-    if len(edge_lines) != m:
-        raise FileFormatError(
-            path, header_no, f"header announces {m} edges, file has {len(edge_lines)}"
-        )
-    edges = []
-    seen = set()
-    for line_no, text in edge_lines:
-        parts = text.split()
-        if len(parts) != 2:
-            raise FileFormatError(path, line_no, "edge line must be 'u v'")
+    """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v.
+
+    The file is streamed into adjacency sets. A wrong edge count is reported
+    before any bad edge line, so the first bad line is kept until the end.
+    """
+    with open(path, "r", encoding="ascii") as handle:
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FileFormatError(path, line_no, "edge endpoints must be integers") from None
-        if not 0 <= u < v < n:
-            raise FileFormatError(path, line_no, f"need 0 <= u < v < {n}")
-        if (u, v) in seen:
-            raise FileFormatError(path, line_no, f"duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-    return from_edges(n, edges)
+            records = _records(handle)
+            header_no, parts = next(records, (1, None))
+            if parts is None:
+                raise FileFormatError(path, 1, "missing 'n m' header line")
+            if len(parts) != 2:
+                raise FileFormatError(path, header_no, "header must be 'n m'")
+            try:
+                n, m = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FileFormatError(
+                    path, header_no, "header must be two integers"
+                ) from None
+            if n < 0 or m < 0:
+                raise FileFormatError(path, header_no, "n and m must be non-negative")
+            # Keyed by vertex, so that a header with a huge n costs nothing
+            # before the edge count is checked.
+            adj: defaultdict[int, set[int]] = defaultdict(set)
+            count = 0
+            error: FileFormatError | None = None
+            for line_no, parts in records:
+                count += 1
+                if error is not None:
+                    continue
+                if len(parts) != 2:
+                    error = FileFormatError(path, line_no, "edge line must be 'u v'")
+                    continue
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except ValueError:
+                    error = FileFormatError(
+                        path, line_no, "edge endpoints must be integers"
+                    )
+                    continue
+                if not 0 <= u < v < n:
+                    error = FileFormatError(path, line_no, f"need 0 <= u < v < {n}")
+                    continue
+                nbrs = adj[u]
+                if v in nbrs:
+                    error = FileFormatError(path, line_no, f"duplicate edge {u} {v}")
+                    continue
+                nbrs.add(v)
+                adj[v].add(u)
+            if count != m:
+                raise FileFormatError(
+                    path, header_no, f"header announces {m} edges, file has {count}"
+                )
+            if error is not None:
+                raise error
+        except FileFormatError:
+            _finish_decoding(handle)
+            raise
+    none: frozenset[int] = frozenset()
+    return Graph(n, tuple(frozenset(adj.get(v, none)) for v in range(n)))
 
 
 def _parse_number(token: str) -> int | float | Fraction:
@@ -105,28 +134,41 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
 
     Integer weights stay ``int``; any other decimal is read exactly as a
     ``Fraction``, so sums and comparisons in the solver carry no rounding.
+    The file is streamed; the first bad line is reported.
     """
     weights: list[int | Fraction] = [1] * n
-    listed: set[int] = set()
-    for line_no, text in _content_lines(path):
-        parts = text.split()
-        if len(parts) != 2:
-            raise FileFormatError(path, line_no, "weight line must be 'v w'")
+    listed = bytearray(n)
+    with open(path, "r", encoding="ascii") as handle:
         try:
-            v = int(parts[0])
-            w = _parse_number(parts[1])
-        except ValueError:
-            raise FileFormatError(path, line_no, "weight line must be 'v w'") from None
-        if not 0 <= v < n:
-            raise FileFormatError(path, line_no, f"vertex {v} out of range for n={n}")
-        if v in listed:
-            raise FileFormatError(path, line_no, f"vertex {v} listed twice")
-        if isinstance(w, float) and not math.isfinite(w):
-            raise FileFormatError(path, line_no, f"non-finite weight for vertex {v}")
-        if w < 0:
-            raise FileFormatError(path, line_no, f"negative weight for vertex {v}")
-        listed.add(v)
-        weights[v] = w
+            for line_no, fields in _records(handle):
+                try:
+                    v_text, w_text = fields
+                    v = int(v_text)
+                    # Most weights are plain non-negative integers.
+                    w = int(w_text) if w_text.isdecimal() else _parse_number(w_text)
+                except ValueError:
+                    raise FileFormatError(
+                        path, line_no, "weight line must be 'v w'"
+                    ) from None
+                if not 0 <= v < n:
+                    raise FileFormatError(
+                        path, line_no, f"vertex {v} out of range for n={n}"
+                    )
+                if listed[v]:
+                    raise FileFormatError(path, line_no, f"vertex {v} listed twice")
+                if isinstance(w, float) and not math.isfinite(w):
+                    raise FileFormatError(
+                        path, line_no, f"non-finite weight for vertex {v}"
+                    )
+                if w < 0:
+                    raise FileFormatError(
+                        path, line_no, f"negative weight for vertex {v}"
+                    )
+                listed[v] = 1
+                weights[v] = w
+        except FileFormatError:
+            _finish_decoding(handle)
+            raise
     return weights
 
 

@@ -19,7 +19,6 @@ linearly with the vertex count, which would overflow the recursion limit.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -56,11 +55,16 @@ class NotCographError(Exception):
 
 
 class _Node:
-    """Equality and hashing over the post-order node stream.
+    """Equality, hashing, ``repr`` and pickling without recursion.
 
-    The dataclass-generated methods recurse, which overflows the stack on
-    deep trees such as the threshold chains.
+    The dataclass-generated methods and the default pickling recurse, which
+    overflows the stack on deep trees such as the threshold chains.
+    Equality and hashing compare the post-order node stream; a node pickles
+    (and copies) as its s-expression, so it comes back normalized, and its
+    leaf ids must be non-negative integers, as ``parse_cotree`` requires.
     """
+
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -72,20 +76,41 @@ class _Node:
     def __hash__(self) -> int:
         return hash(_signature(self))
 
+    def __repr__(self) -> str:
+        """The dataclass ``repr``, built with an explicit stack."""
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif isinstance(item, Leaf):
+                parts.append(f"Leaf(vertex={item.vertex!r})")
+            elif isinstance(item, Union):
+                parts.append("Union(left=")
+                stack += [f", leaves={item.leaves!r})", item.right, ", right=", item.left]
+            else:
+                parts.append("Complement(child=")
+                stack += [f", leaves={item.leaves!r})", item.child]
+        return "".join(parts)
 
-@dataclass(frozen=True, eq=False)
+    def __reduce__(self) -> tuple:
+        return parse_cotree, (format_cotree(self),)
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Leaf(_Node):
     vertex: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Union(_Node):
     left: "Cotree"
     right: "Cotree"
     leaves: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Complement(_Node):
     child: "Cotree"
     leaves: int
@@ -458,9 +483,6 @@ def random_cotree(n: int, seed: int) -> Cotree:
     return values[0]
 
 
-_LEAF_TOKEN = re.compile(r"L(\d+)")
-
-
 def format_cotree(t: Cotree) -> str:
     """S-expression serialization: ``L<id>`` | ``(U <t> <t>)`` | ``(C <t>)``."""
     close = object()
@@ -485,52 +507,50 @@ def format_cotree(t: Cotree) -> str:
 
 
 def parse_cotree(text: str) -> Cotree:
-    """Parse the s-expression grammar; the result is normalized."""
+    """Parse the s-expression grammar; the result is normalized.
+
+    One pass over the tokens: finished subtrees wait on a value stack, and
+    each open parenthesis records its operator and the stack height below
+    it, so a closing parenthesis knows how many subtrees it received.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty cotree text")
-    stack: list[tuple[str, list[Cotree]]] = []
-    root: Cotree | None = None
-
-    def attach(node: Cotree) -> None:
-        nonlocal root
-        if stack:
-            stack[-1][1].append(node)
-        elif root is None:
-            root = node
-        else:
-            raise ValueError("multiple top-level cotree terms")
-
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    values: list[Cotree] = []
+    ops: list[str] = []
+    heights: list[int] = []
+    it = iter(tokens)
+    for tok in it:
         if tok == "(":
-            i += 1
-            if i >= len(tokens) or tokens[i] not in ("U", "C"):
+            op = next(it, None)
+            if op != "U" and op != "C":
                 raise ValueError("expected U or C after '('")
-            stack.append((tokens[i], []))
-        elif tok == ")":
-            if not stack:
+            ops.append(op)
+            heights.append(len(values))
+            continue
+        if tok == ")":
+            if not ops:
                 raise ValueError("unbalanced ')'")
-            op, kids = stack.pop()
-            if op == "U":
-                if len(kids) != 2:
+            received = len(values) - heights.pop()
+            if ops.pop() == "U":
+                if received != 2:
                     raise ValueError("U takes exactly two subtrees")
-                attach(union_node(kids[0], kids[1]))
+                right = values.pop()
+                node = union_node(values.pop(), right)
             else:
-                if len(kids) != 1:
+                if received != 1:
                     raise ValueError("C takes exactly one subtree")
-                attach(complement_node(kids[0]))
-        elif tok in ("U", "C"):
+                node = complement_node(values.pop())
+        elif tok == "U" or tok == "C":
             raise ValueError(f"operator {tok!r} outside parentheses")
         else:
-            m = _LEAF_TOKEN.fullmatch(tok)
-            if m is None:
+            digits = tok[1:]
+            if tok[0] != "L" or not digits.isdecimal():
                 raise ValueError(f"bad token {tok!r}")
-            attach(Leaf(int(m.group(1))))
-        i += 1
-    if stack:
+            node = Leaf(int(digits))
+        if not ops and values:
+            raise ValueError("multiple top-level cotree terms")
+        values.append(node)
+    if ops:
         raise ValueError("unbalanced '('")
-    if root is None:
-        raise ValueError("empty cotree text")
-    return root
+    return values[0]

@@ -39,6 +39,19 @@ only by two chosen vertices. In the union:
     ``s = 0``, its ``d`` becomes ``c`` when the other side has ``s = 1``,
     and both are dropped when the other side has ``s = 2``.
 
+Tables are flat. Every entry one ``dp_run`` creates lives in its
+``EntryPool``, three parallel lists indexed by entry id: the entry's total
+weight and two back-pointers (the ids of the two side entries it combines,
+or the vertex of a chosen leaf). A ``Table`` is the tuple of a subtree's
+finite states in ascending order plus the tuple of their entry ids; at
+most six of the 16 states are ever finite. Which pairs of side states a
+union combines, and into which state, depends only on the two finite-state
+sets and on whether each side is a single leaf. Only 20 state sets are
+reachable, so these feasible pairs are worked out once per combination and
+memoised, and a union loops over them alone. A complement applies a
+memoised reversal to the ids. The solution is read off the cheapest root
+entry by following back-pointers.
+
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
 the weighted fault-tolerant metric dimension. Disconnected graphs are
@@ -55,24 +68,6 @@ from .cotree import Complement, Cotree, Leaf, build_cotree
 from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import weak_pair
-
-
-class Entry(NamedTuple):
-    """One feasible table entry: total weight plus a reconstruction record.
-
-    A chosen leaf holds its vertex id in ``left`` and ``None`` in ``right``;
-    the empty set is the shared ``_NOTHING``; a union entry holds one entry
-    of each side in ``left`` and ``right``. Complementation reuses entries.
-    """
-
-    weight: Weight
-    left: Entry | int | None
-    right: Entry | None
-
-
-_NOTHING = Entry(0, None, None)
-
-Table = tuple  # 16 slots of Entry | None, indexed by state_index
 
 
 def state_index(a: int, b: int, c: int, d: int) -> int:
@@ -128,48 +123,86 @@ _UNION_RULES = tuple(
 # sides. This fixes which of several optimal sets is returned.
 _LEFT_SCAN = tuple(range(8, 12)) + tuple(range(8))
 
-
-def dp_leaf(vertex: int, weight: Weight) -> Table:
-    """Table of a one-leaf subtree: the vertex chosen or left out."""
-    table: list[Entry | None] = [None] * 16
-    table[_CHOSEN] = Entry(weight, vertex, None)
-    table[_LEFT_OUT] = _NOTHING
-    return tuple(table)
+# Entry 0 of every pool is the empty set: only a single leaf's table holds
+# it, because every entry of a larger subtree chooses two or more vertices.
+_EMPTY = 0
+_LEAF_STATES = (_CHOSEN, _LEFT_OUT)
 
 
-def dp_union(t1: Table, t2: Table) -> Table:
-    """Table for the disjoint union of two subtrees.
+class EntryPool(NamedTuple):
+    """The entries of one ``dp_run``, indexed by entry id.
 
-    A table comes from a single leaf exactly when it holds ``_NOTHING``:
-    larger subtrees need at least two chosen vertices. That decides the
-    size classes, and with them which generated rule applies.
+    ``weight[e]`` is the total weight of entry ``e``. A union entry holds
+    the ids of one entry of each side in ``left[e]`` and ``right[e]``; a
+    chosen leaf holds its vertex in ``left[e]`` and -1 in ``right[e]``; the
+    empty set ``_EMPTY`` holds -1 in both.
     """
-    rule = _UNION_RULES[t1[_LEFT_OUT] is _NOTHING][t2[_LEFT_OUT] is _NOTHING]
-    right = [(j, e2) for j, e2 in enumerate(t2) if e2 is not None]
-    table: list[Entry | None] = [None] * 16
+
+    weight: list[Weight]
+    left: list[int]
+    right: list[int]
+
+
+class Table(NamedTuple):
+    """A subtree's finite states in ascending order, the id of each state's
+    entry, and the pool that holds the entries."""
+
+    states: tuple[int, ...]
+    ids: tuple[int, ...]
+    pool: EntryPool
+
+
+class TableEntry(NamedTuple):
+    """One finite entry of a table, as ``finite_states`` hands it out."""
+
+    pool: EntryPool
+    id: int
+
+    @property
+    def weight(self) -> Weight:
+        return self.pool.weight[self.id]
+
+
+Plan = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+
+# Memoised plans of pure functions of their keys, filled on first use. Only
+# 20 finite-state sets are reachable from leaf tables, so these hold at most
+# a few hundred entries. Keyed by (states1, leaf1, states2, leaf2) and by
+# states.
+_UNION_PLANS: dict[tuple, Plan] = {}
+_COMPLEMENT_PLANS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+
+def _union_plan(
+    states1: tuple[int, ...], leaf1: bool, states2: tuple[int, ...], leaf2: bool
+) -> Plan:
+    """The feasible pairs of two tables' finite states, grouped by the
+    union state they give.
+
+    Returns the union's finite states in ascending order and, for each, the
+    positions ``(p1, p2)`` of its candidate pairs in ``states1`` and
+    ``states2`` in ``_LEFT_SCAN`` order, so that the first of equally
+    cheap candidates wins.
+    """
+    rule = _UNION_RULES[leaf1][leaf2]
+    candidates: dict[int, list[tuple[int, int]]] = {}
     for i in _LEFT_SCAN:
-        e1 = t1[i]
-        if e1 is None:
+        if i not in states1:
             continue
-        row = rule[i]
-        for j, e2 in right:
-            k = row[j]
-            if k < 0:
-                continue
-            weight = e1.weight + e2.weight
-            best = table[k]
-            if best is None or weight < best.weight:
-                table[k] = Entry(weight, e1, e2)
-    return tuple(table)
+        p1 = states1.index(i)
+        for p2, j in enumerate(states2):
+            k = rule[i][j]
+            if k >= 0:
+                candidates.setdefault(k, []).append((p1, p2))
+    states = tuple(sorted(candidates))
+    return states, tuple(tuple(candidates[k]) for k in states)
 
 
-def dp_complement(table: Table) -> Table:
-    """Complement a subtree's table: permute it by reversing indices.
-
-    Entries keep their weights and reconstruction records; applying this
-    twice restores the table.
-    """
-    return tuple([table[i] for i in _REVERSED])
+def _complement_plan(states: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The reversed states in ascending order and, for each, the position in
+    ``states`` of the state it came from."""
+    reversed_states = tuple(sorted(_REVERSED[i] for i in states))
+    return reversed_states, tuple(states.index(_REVERSED[k]) for k in reversed_states)
 
 
 def dp_run(
@@ -179,41 +212,76 @@ def dp_run(
 ) -> Table:
     """Evaluate the dynamic program bottom-up over the cotree.
 
-    Constant table work per node. When ``trace`` is a list, every node's
-    table is appended to it in post-order.
+    Constant work per node: a leaf adds one entry to the pool, a union one
+    per finite state of its table, a complement none. When ``trace`` is a
+    list, every node's table is appended to it in post-order.
     """
-    values: list[Table] = []
+    pool = EntryPool([0], [-1], [-1])
+    weight, left, right = pool
+    values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for node in iter_nodes(t):
         if isinstance(node, Leaf):
-            value = dp_leaf(node.vertex, weights[node.vertex])
+            v = node.vertex
+            value = (_LEAF_STATES, (len(weight), _EMPTY))
+            weight.append(weights[v])
+            left.append(v)
+            right.append(-1)
         elif isinstance(node, Complement):
-            value = dp_complement(values.pop())
+            states, ids = values.pop()
+            plan = _COMPLEMENT_PLANS.get(states)
+            if plan is None:
+                plan = _COMPLEMENT_PLANS[states] = _complement_plan(states)
+            states, order = plan
+            value = (states, tuple([ids[p] for p in order]))
         else:
-            right = values.pop()
-            value = dp_union(values.pop(), right)
+            states2, ids2 = values.pop()
+            states1, ids1 = values.pop()
+            key = (states1, _EMPTY in ids1, states2, _EMPTY in ids2)
+            plan = _UNION_PLANS.get(key)
+            if plan is None:
+                plan = _UNION_PLANS[key] = _union_plan(*key)
+            states, groups = plan
+            ids = []
+            for group in groups:
+                best = None
+                for p1, p2 in group:
+                    e1 = ids1[p1]
+                    e2 = ids2[p2]
+                    w = weight[e1] + weight[e2]
+                    if best is None or w < best:
+                        best, l, r = w, e1, e2
+                ids.append(len(weight))
+                weight.append(best)
+                left.append(l)
+                right.append(r)
+            value = (states, tuple(ids))
         values.append(value)
         if trace is not None:
-            trace.append((node, value))
-    return values[0]
+            trace.append((node, Table(*value, pool)))
+    return Table(*values[0], pool)
 
 
-def entry_vertices(entry: Entry) -> frozenset[int]:
-    """Materialize the vertex set behind an entry; linear in the output."""
+def entry_vertices(entry: TableEntry) -> frozenset[int]:
+    """Materialize the vertex set behind an entry by following its
+    back-pointers; linear in the output."""
+    left, right = entry.pool.left, entry.pool.right
     out: list[int] = []
-    stack = [entry]
+    stack = [entry.id]
     while stack:
         e = stack.pop()
-        if e.right is not None:
-            stack.append(e.left)
-            stack.append(e.right)
-        elif e.left is not None:
-            out.append(e.left)
+        if right[e] >= 0:
+            stack.append(left[e])
+            stack.append(right[e])
+        elif left[e] >= 0:
+            out.append(left[e])
     return frozenset(out)
 
 
-def finite_states(table: Table) -> dict[tuple[int, int, int, int], Entry]:
+def finite_states(table: Table) -> dict[tuple[int, int, int, int], TableEntry]:
     """Finite table entries keyed by their flag tuple (for tests and display)."""
-    return {state_tuple(i): e for i, e in enumerate(table) if e is not None}
+    return {
+        state_tuple(i): TableEntry(table.pool, e) for i, e in zip(table.states, table.ids)
+    }
 
 
 def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
@@ -221,13 +289,14 @@ def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
 
     Ties go to the lexicographically smallest flag tuple.
     """
-    best = None
-    for e in table:
-        if e is not None and (best is None or e.weight < best.weight):
+    weight = table.pool.weight
+    best = -1
+    for e in table.ids:
+        if best < 0 or weight[e] < weight[best]:
             best = e
-    if best is None:
+    if best < 0:
         raise RuntimeError("state table has no feasible entry")
-    return best.weight, entry_vertices(best)
+    return weight[best], entry_vertices(TableEntry(table.pool, best))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,64 @@ def test_comments_and_blank_lines_ignored(capsys, tmp_path):
     assert out == "2\n0 1\n"
 
 
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def test_crlf_files(capsys, tmp_path):
+    graph = write_bytes(tmp_path, "g.txt", b"3 2\r\n0 1\r\n1 2\r\n")
+    weights = write_bytes(tmp_path, "w.txt", b"0 5\r\n2 0.5\r\n")
+    code, out, err = run(capsys, ["solve", graph, "--weights", weights, "--oracle"])
+    assert (code, out, err) == (0, "5.5\n0 2\n", "")
+
+
+def test_indented_comment_lines_ignored(capsys, tmp_path):
+    graph = write(tmp_path, "g.txt", "  # n m\n2 1\n\t# edges\n   #\n0 1\n")
+    weights = write(tmp_path, "w.txt", " # v w\n0 3\n    # vertex 1 keeps 1\n")
+    code, out, _ = run(capsys, ["solve", graph, "--weights", weights])
+    assert (code, out) == (0, "4\n0 1\n")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("# c\n\n2 x\n", "3: header must be two integers"),
+        ("# c\n\n2 1\n  # c\n0 5\n", "5: need 0 <= u < v < 2"),
+        ("3 1\n\n# c\nx y\n0 1\n", "1: header announces 1 edges, file has 2"),
+        ("3 3\n0 1\n\n0 x\n1 7\n", "4: edge endpoints must be integers"),
+    ],
+)
+def test_edge_list_error_line_numbers(capsys, tmp_path, body, message):
+    graph = write(tmp_path, "g.txt", body)
+    code, _, err = run(capsys, ["solve", graph])
+    assert (code, err) == (1, f"error: {graph}:{message}\n")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("# c\n\n0 x\n", "3: weight line must be 'v w'"),
+        ("0 1\n  # c\n\n0 2\n", "4: vertex 0 listed twice"),
+        ("\r\n1 -2\r\n", "2: negative weight for vertex 1"),
+    ],
+)
+def test_weight_file_error_line_numbers(capsys, tmp_path, k2_file, body, message):
+    weights = write_bytes(tmp_path, "w.txt", body.encode())
+    code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
+    assert (code, err) == (1, f"error: {weights}:{message}\n")
+
+
+def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file):
+    graph = write_bytes(tmp_path, "g.txt", b"2 1\n0 5\n# caf\xc3\xa9\n")
+    code, _, err = run(capsys, ["solve", graph])
+    assert code == 1 and "codec can't decode" in err
+    weights = write_bytes(tmp_path, "w.txt", b"0 x\n# caf\xc3\xa9\n")
+    code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
+    assert code == 1 and "codec can't decode" in err
+
+
 def test_check_yes(capsys, p3_file):
     code, out, _ = run(capsys, ["check", p3_file, "ft", "0", "2"])
     assert code == 0

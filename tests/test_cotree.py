@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from itertools import combinations
@@ -268,25 +270,58 @@ def test_parse_normalizes_double_complement():
     assert parse_cotree("(C (C L0))") == Leaf(0)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "(U L0)",
-        "(U L0 L1 L2)",
-        "(C)",
-        "(C L0 L1)",
-        "L0 L1",
-        "(X L0 L1)",
-        "(U L0 L1",
-        "U L0 L1)",
-        "(U La L1)",
-        "foo",
-    ],
-)
+PARSE_ERRORS = {
+    "": "empty cotree text",
+    "(U L0)": "U takes exactly two subtrees",
+    "(U L0 L1 L2)": "U takes exactly two subtrees",
+    "(C)": "C takes exactly one subtree",
+    "(C L0 L1)": "C takes exactly one subtree",
+    "L0 L1": "multiple top-level cotree terms",
+    "(X L0 L1)": "expected U or C after '('",
+    "(U L0 L1": "unbalanced '('",
+    "U L0 L1)": "operator 'U' outside parentheses",
+    "(U La L1)": "bad token 'La'",
+    "foo": "bad token 'foo'",
+    "L0)": "unbalanced ')'",
+    "()": "expected U or C after '('",
+    "(U L0 L1) L2": "multiple top-level cotree terms",
+    "(U L0 L1))": "unbalanced ')'",
+    "(U L0 (C))": "C takes exactly one subtree",
+    "L": "bad token 'L'",
+    "L1a": "bad token 'L1a'",
+    "(C L-1)": "bad token 'L-1'",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_rejects_bad_input(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_cotree(text)
+    assert str(exc.value) == PARSE_ERRORS[text]
+
+
+def test_repr_matches_the_dataclass_form():
+    t = union_node(Leaf(0), complement_node(union_node(Leaf(1), Leaf(2))))
+    assert repr(t) == (
+        "Union(left=Leaf(vertex=0), right=Complement(child=Union("
+        "left=Leaf(vertex=1), right=Leaf(vertex=2), leaves=2), leaves=2), leaves=3)"
+    )
+
+
+def test_deep_cotree_repr_pickle_and_copy():
+    chain = threshold_chain(1024)
+    assert repr(chain).count("Leaf(vertex=") == 1024
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(chain, protocol)) == chain
+    assert copy.deepcopy(chain) == chain
+    assert copy.copy(chain) == chain
+    solution = solve(realize(chain))
+    assert pickle.loads(pickle.dumps(solution)) == solution
+
+
+def test_nodes_have_no_instance_dict():
+    for node in (Leaf(0), union_node(Leaf(0), Leaf(1)), complement_node(Leaf(0))):
+        assert not hasattr(node, "__dict__")
 
 
 def test_relabel():

@@ -10,12 +10,10 @@ import hypothesis.strategies as st
 
 from ftmd import (
     EmptyGraphError,
-    Entry,
     Leaf,
     NotCographError,
     build_cotree,
     complement_node,
-    dp_complement,
     dp_run,
     entry_vertices,
     extract_connected_min,
@@ -34,7 +32,10 @@ from ftmd import (
     state_tuple,
     union_node,
 )
-from ftmd.dp import dp_leaf, dp_union
+import ftmd.dp as dp_module
+from ftmd.dp import Table
+from reference_dp import Entry, dp_complement, dp_leaf, dp_union
+import reference_dp
 from signatures import state_signature
 from strategies import enumerate_cotrees
 
@@ -47,12 +48,19 @@ def table_of(states):
     return tuple(out)
 
 
+def _dp_of(value):
+    """The module that made ``value``: ``ftmd.dp`` or the reference DP."""
+    return dp_module if isinstance(value, Table) else reference_dp
+
+
 def weights_of(value):
-    return {k: e.weight for k, e in finite_states(value).items()}
+    return {k: e.weight for k, e in _dp_of(value).finite_states(value).items()}
 
 
 def sets_of(value):
-    return {k: (e.weight, entry_vertices(e)) for k, e in finite_states(value).items()}
+    dp = _dp_of(value)
+    states = dp.finite_states(value)
+    return {k: (e.weight, dp.entry_vertices(e)) for k, e in states.items()}
 
 
 def test_state_tuple_roundtrip():
@@ -88,9 +96,9 @@ def test_leaf_leaf_unit_weights():
 
 def test_leaf_leaf_weighted_and_reconstruction():
     t = dp_union(dp_leaf(0, 3), dp_leaf(1, 5))
-    entry = finite_states(t)[(0, 1, 0, 0)]
+    entry = reference_dp.finite_states(t)[(0, 1, 0, 0)]
     assert entry.weight == 8
-    assert entry_vertices(entry) == frozenset({0, 1})
+    assert reference_dp.entry_vertices(entry) == frozenset({0, 1})
 
 
 def test_leaf_table_with_k2_table():
@@ -101,8 +109,8 @@ def test_leaf_table_with_k2_table():
     # Choosing the isolated vertex adds its weight; leaving it out keeps
     # the K2 entry and records the 0-vertex.
     assert weights_of(result) == {(0, 1, 0, 0): 3, (1, 0, 1, 0): 2}
-    e = finite_states(result)[(1, 0, 1, 0)]
-    assert entry_vertices(e) == frozenset({1, 2})
+    e = reference_dp.finite_states(result)[(1, 0, 1, 0)]
+    assert reference_dp.entry_vertices(e) == frozenset({1, 2})
 
 
 def test_leaf_table_all_infeasible_propagates():
@@ -121,8 +129,8 @@ def test_table_table_two_k2_tables():
     t2 = dp_complement(dp_union(dp_leaf(2, 1), dp_leaf(3, 1)))
     result = dp_union(t1, t2)
     assert weights_of(result) == {(0, 0, 0, 0): 4}
-    e = finite_states(result)[(0, 0, 0, 0)]
-    assert entry_vertices(e) == frozenset({0, 1, 2, 3})
+    e = reference_dp.finite_states(result)[(0, 0, 0, 0)]
+    assert reference_dp.entry_vertices(e) == frozenset({0, 1, 2, 3})
 
 
 def test_table_table_direct_formula():
@@ -180,8 +188,9 @@ def test_extract_on_leaf_gives_empty_set():
 
 
 def test_extract_rejects_all_infeasible():
+    empty = dp_run(Leaf(0), [1])._replace(states=(), ids=())
     with pytest.raises(RuntimeError):
-        extract_connected_min((None,) * 16)
+        extract_connected_min(empty)
 
 
 def test_extract_examples():
@@ -376,3 +385,54 @@ def test_verify_random_cograph_with_2048_vertices_in_seconds():
     # Unit weights make the set minimum in size, so no vertex can go.
     assert not replace(solution, vertices=solution.vertices[1:]).verify(g)
     assert time.perf_counter() - start < 10
+
+
+def _reference_solve(g, weights=None):
+    """``solve`` with the reference DP in place of the flat one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dp_module, "dp_run", reference_dp.dp_run)
+        mp.setattr(dp_module, "extract_connected_min", reference_dp.extract_connected_min)
+        return solve(g, weights)
+
+
+def test_tables_match_reference_on_all_small_cotrees():
+    rng = random.Random(2)
+    for tree in enumerate_cotrees(6):
+        n = leaf_count(tree)
+        for weights in ([1] * n, [rng.randint(0, 3) for _ in range(n)]):
+            flat, ref = [], []
+            dp_run(tree, weights, flat)
+            reference_dp.dp_run(tree, weights, ref)
+            assert [node for node, _ in flat] == [node for node, _ in ref]
+            assert [sets_of(t) for _, t in flat] == [sets_of(t) for _, t in ref]
+
+
+@pytest.mark.parametrize("weighting", ["unit", "0-3", "float"])
+def test_tables_match_reference_on_random_cotrees(weighting):
+    rng = random.Random(weighting)
+    for k in range(1, 13):
+        for _ in range(3):
+            n = rng.randint(2 ** (k - 1), 2**k)
+            tree = random_cotree(n, rng.randrange(2**31))
+            if weighting == "unit":
+                weights = [1] * n
+            elif weighting == "0-3":
+                weights = [rng.randint(0, 3) for _ in range(n)]
+            else:
+                weights = [rng.choice((0.1, 0.2, 0.3, 0.7, 1.0)) for _ in range(n)]
+            flat, ref = [], []
+            root = dp_run(tree, weights, flat)
+            ref_root = reference_dp.dp_run(tree, weights, ref)
+            for (_, table), (_, ref_table) in zip(flat, ref, strict=True):
+                assert weights_of(table) == weights_of(ref_table)
+            expected = reference_dp.extract_connected_min(ref_root)
+            assert extract_connected_min(root) == expected
+
+
+def test_solve_picks_the_reference_set_on_ties():
+    rng = random.Random(3000)
+    for i in range(3000):
+        n = rng.randint(1, 40)
+        g = realize(random_cotree(n, rng.randrange(2**31)))
+        weights = [1] * n if i % 2 else [rng.randint(0, 3) for _ in range(n)]
+        assert solve(g, weights) == _reference_solve(g, weights)
