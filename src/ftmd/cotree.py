@@ -4,6 +4,16 @@ A cotree is a leaf / binary-union / unary-complement expression tree whose
 leaves carry the vertex ids of the graph it realizes. Trees are normalized:
 a complement node never sits directly under another complement node.
 
+A tree is two flat arrays, which ``flat`` returns: ``kinds``, a
+``bytearray`` with one byte per leaf or union node in post-order, ``LEAF``
+or ``UNION`` plus the ``COMPLEMENTED`` flag when a complement node sits
+directly above it; and ``labels``, an ``array('i')`` of the leaf vertex ids
+left to right. A subtree with k leaves is the 2k - 1 bytes ending at its
+root. The functions here and ``dp.dp_run`` work on the arrays and create no
+object per node. ``Leaf``, ``Union`` and ``Complement`` are views of one
+subtree, typed by its root; equality, hashing and pickling use the
+subtree's arrays, and their constructors concatenate them.
+
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
 with equal open or closed neighbourhoods until one is left, in O(n + m)
 expected time, and rewrites the merges into one canonical tree. ``realize``
@@ -19,12 +29,15 @@ linearly with the vertex count, which would overflow the recursion limit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
 from .graph import Graph
 
+# Node kinds in the ``kinds`` array; COMPLEMENTED is a flag on either.
+LEAF, UNION, COMPLEMENTED = 0, 1, 2
 # A rejected graph leaves a twin-free remainder; up to this many vertices,
 # enumerating its 4-subsets for an induced path takes at most a few seconds.
 # Beyond it the error is raised without a witness.
@@ -54,27 +67,35 @@ class NotCographError(Exception):
         super().__init__(f"not a cograph{detail}")
 
 
-class _Node:
-    """Equality, hashing, ``repr`` and pickling without recursion.
+class _Arrays:
+    """One tree's two arrays."""
 
-    The dataclass-generated methods and the default pickling recurse, which
-    overflows the stack on deep trees such as the threshold chains.
-    Equality and hashing compare the post-order node stream; a node pickles
-    (and copies) as its s-expression, so it comes back normalized, and its
-    leaf ids must be non-negative integers, as ``parse_cotree`` requires.
+    def __init__(self, kinds: bytearray, labels: array):
+        self.kinds, self.labels = kinds, labels
+
+    @cached_property
+    def sizes(self) -> array:
+        """The leaf count of every node's subtree, counted on first use."""
+        return _leaf_counts(self.kinds)
+
+
+class _Node:
+    """A view of the subtree rooted at ``kinds[_pos]`` of a flat tree, whose
+    leaves are ``labels[_first : _first + _leaves]``. A node whose kind
+    carries ``COMPLEMENTED`` has two views: a ``Complement``, and its
+    ``child``, typed by the kind without the flag.
     """
 
-    __slots__ = ()
+    __slots__ = ("_tree", "_pos", "_first", "_leaves")
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, _Node):
             return NotImplemented
-        return _signature(self) == _signature(other)
+        return self is other or flat(self) == flat(other)
 
     def __hash__(self) -> int:
-        return hash(_signature(self))
+        kinds, labels = flat(self)
+        return hash((bytes(kinds), labels.tobytes()))
 
     def __repr__(self) -> str:
         """The dataclass ``repr``, built with an explicit stack."""
@@ -95,90 +116,139 @@ class _Node:
         return "".join(parts)
 
     def __reduce__(self) -> tuple:
-        return parse_cotree, (format_cotree(self),)
+        return _from_arrays, flat(self)
+
+    @property
+    def leaves(self) -> int:
+        return self._leaves
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Leaf(_Node):
-    vertex: int
+    __slots__ = ()
+
+    def __new__(cls, vertex: int) -> Leaf:
+        return _from_arrays(bytearray((LEAF,)), array("i", (vertex,)))
+
+    @property
+    def vertex(self) -> int:
+        return self._tree.labels[self._first]
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Union(_Node):
-    left: "Cotree"
-    right: "Cotree"
-    leaves: int
+    __slots__ = ()
+
+    def __new__(cls, left: Cotree, right: Cotree, leaves: int) -> Union:
+        count = left._leaves + right._leaves
+        if leaves != count:
+            raise ValueError(f"the children have {count} leaves, not {leaves}")
+        (kinds1, labels1), (kinds2, labels2) = flat(left), flat(right)
+        return _from_arrays(kinds1 + kinds2 + bytes((UNION,)), labels1 + labels2)
+
+    @property
+    def left(self) -> Cotree:
+        right = self._tree.sizes[self._pos - 1]
+        return _view(self._tree, self._pos - 2 * right, self._first, self._leaves - right)
+
+    @property
+    def right(self) -> Cotree:
+        right = self._tree.sizes[self._pos - 1]
+        return _view(self._tree, self._pos - 1, self._first + self._leaves - right, right)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Complement(_Node):
-    child: "Cotree"
-    leaves: int
+    __slots__ = ()
+
+    def __new__(cls, child: Cotree, leaves: int) -> Complement:
+        if isinstance(child, Complement):
+            raise ValueError("a complement cannot sit directly under a complement")
+        if leaves != child._leaves:
+            raise ValueError(f"the child has {child._leaves} leaves, not {leaves}")
+        kinds, labels = flat(child)
+        return _from_arrays(kinds[:-1] + bytes((kinds[-1] | COMPLEMENTED,)), labels)
+
+    @property
+    def child(self) -> Cotree:
+        return _view(self._tree, self._pos, self._first, self._leaves, False)
 
 
 Cotree = Leaf | Union | Complement
 
 
-def _signature(t: Cotree) -> tuple:
-    """Each node's kind with its vertex (leaf) or leaf count, in post-order.
+def _view(tree: _Arrays, pos: int, first: int, leaves: int, outer: bool = True) -> Cotree:
+    """The view of node ``pos``; ``outer=False`` skips its complement."""
+    kind = tree.kinds[pos]
+    cls = Complement if outer and kind & COMPLEMENTED else Union if kind & UNION else Leaf
+    node = object.__new__(cls)
+    node._tree, node._pos, node._first, node._leaves = tree, pos, first, leaves
+    return node
 
-    Every kind has a fixed number of children, so this determines the tree.
+
+def _from_arrays(kinds: bytearray, labels: array) -> Cotree:
+    return _view(_Arrays(kinds, labels), len(kinds) - 1, 0, len(labels))
+
+
+def _leaf_counts(kinds: bytearray) -> array:
+    """Leaf count of every node's subtree, in post-order. A union's right
+    child ends just before it and its left child just before that."""
+    sizes = array("i", [1]) * len(kinds)
+    for pos, kind in enumerate(kinds):
+        if kind & UNION:
+            right = sizes[pos - 1]
+            sizes[pos] = right + sizes[pos - 2 * right]
+    return sizes
+
+
+def flat(t: Cotree) -> tuple[bytearray, array]:
+    """The ``kinds`` and ``labels`` arrays of ``t``'s subtree: the tree's own
+    arrays when ``t`` is its root, else copies. Callers must not modify them.
     """
-    return tuple(
-        (Leaf, node.vertex) if isinstance(node, Leaf) else (type(node), node.leaves)
-        for node in iter_nodes(t)
-    )
+    tree, pos, leaves = t._tree, t._pos, t._leaves
+    kinds = tree.kinds
+    top = kinds[pos] if isinstance(t, Complement) else kinds[pos] & ~COMPLEMENTED
+    if pos == len(kinds) - 1 and kinds[pos] == top:
+        return kinds, tree.labels
+    kinds = kinds[pos - 2 * leaves + 2 : pos + 1]
+    kinds[-1] = top
+    return kinds, tree.labels[t._first : t._first + leaves]
 
 
 def leaf_count(t: Cotree) -> int:
-    return 1 if isinstance(t, Leaf) else t.leaves
+    return t._leaves
 
 
 def union_node(left: Cotree, right: Cotree) -> Union:
-    return Union(left, right, leaf_count(left) + leaf_count(right))
+    return Union(left, right, left._leaves + right._leaves)
 
 
 def complement_node(child: Cotree) -> Cotree:
     """Complement wrapper; collapses a double complement."""
     if isinstance(child, Complement):
         return child.child
-    return Complement(child, leaf_count(child))
+    return Complement(child, child._leaves)
 
 
 def iter_nodes(t: Cotree) -> Iterator[Cotree]:
     """All nodes in post-order (children before parents)."""
-    stack: list[tuple[Cotree, bool]] = [(t, False)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            yield node
-            continue
-        stack.append((node, True))
-        if isinstance(node, Union):
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-        elif isinstance(node, Complement):
-            stack.append((node.child, False))
+    tree, end, leaf = t._tree, t._pos, t._first
+    sizes = tree.sizes
+    for pos in range(end - 2 * t._leaves + 2, end + 1):
+        kind = tree.kinds[pos]
+        leaf += not kind & UNION  # leaves up to and including this subtree
+        first = leaf - sizes[pos]
+        yield _view(tree, pos, first, sizes[pos], False)
+        if kind & COMPLEMENTED and (pos < end or isinstance(t, Complement)):
+            yield _view(tree, pos, first, sizes[pos])
 
 
 def node_count(t: Cotree) -> int:
-    return sum(1 for _ in iter_nodes(t))
+    kinds, _ = flat(t)
+    complements = kinds.count(LEAF | COMPLEMENTED) + kinds.count(UNION | COMPLEMENTED)
+    return len(kinds) + complements
 
 
 def leaf_labels(t: Cotree) -> list[int]:
     """Leaf vertex ids in left-to-right order."""
-    out: list[int] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.vertex)
-        elif isinstance(node, Union):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            stack.append(node.child)
-    return out
+    return t._tree.labels[t._first : t._first + t._leaves].tolist()
 
 
 def root_components(t: Cotree) -> list[Cotree]:
@@ -188,39 +258,22 @@ def root_components(t: Cotree) -> list[Cotree]:
     ascending order of their smallest vertex; the leaves among them are the
     isolated vertices.
     """
+    if not isinstance(t, Union):
+        return [t]
+    tree = t._tree
+    sizes = tree.sizes
     out: list[Cotree] = []
-    stack = [t]
+    end = t._first + t._leaves  # the parts found so far, right to left, start here
+    stack = [t._pos]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Union):
-            stack.append(node.right)
-            stack.append(node.left)
+        pos = stack.pop()
+        if tree.kinds[pos] == UNION or pos == t._pos:
+            stack += (pos - 2 * sizes[pos - 1], pos - 1)
         else:
-            out.append(node)
+            end -= sizes[pos]
+            out.append(_view(tree, pos, end, sizes[pos]))
+    out.reverse()
     return out
-
-
-def is_normalized(t: Cotree) -> bool:
-    """No complement node directly under another complement node."""
-    for node in iter_nodes(t):
-        if isinstance(node, Complement) and isinstance(node.child, Complement):
-            return False
-    return True
-
-
-def relabel(t: Cotree, mapping: dict[int, int]) -> Cotree:
-    """Copy of ``t`` with every leaf id passed through ``mapping``."""
-    values: list[Cotree] = []
-    for node in iter_nodes(t):
-        if isinstance(node, Leaf):
-            values.append(Leaf(mapping[node.vertex]))
-        elif isinstance(node, Complement):
-            values.append(complement_node(values.pop()))
-        else:
-            right = values.pop()
-            left = values.pop()
-            values.append(union_node(left, right))
-    return values[0]
 
 
 def realize(t: Cotree) -> Graph:
@@ -236,28 +289,29 @@ def realize(t: Cotree) -> Graph:
     contiguous slice of ``leaf_labels(t)``, so each such union node joins its
     two slices in bulk; the cost is O(n + m).
     """
-    labels = leaf_labels(t)
+    kinds, labels = flat(t)
+    labels = labels.tolist()
     n = len(labels)
     if sorted(labels) != list(range(n)):
         raise ValueError("cotree leaves must be labelled 0 .. n-1 exactly once")
+    sizes = _leaf_counts(kinds)
     adj: list[set[int]] = [set() for _ in range(n)]
     # (node, index of its first leaf in labels, complement parity above it)
-    stack: list[tuple[Cotree, int, bool]] = [(t, 0, False)]
+    stack = [(len(kinds) - 1, 0, 0)]
     while stack:
-        node, start, odd = stack.pop()
-        if isinstance(node, Complement):
-            stack.append((node.child, start, not odd))
-        elif isinstance(node, Union):
-            mid = start + leaf_count(node.left)
+        pos, start, odd = stack.pop()
+        kind = kinds[pos]
+        if kind & UNION:
+            odd ^= kind >> 1  # a complement on the union node sits above it
+            right = sizes[pos - 1]
+            mid = start + sizes[pos] - right
             if odd:
-                left = labels[start:mid]
-                right = labels[mid : start + node.leaves]
-                for u in left:
-                    adj[u].update(right)
-                for v in right:
-                    adj[v].update(left)
-            stack.append((node.left, start, odd))
-            stack.append((node.right, mid, odd))
+                left_part, right_part = labels[start:mid], labels[mid : mid + right]
+                for u in left_part:
+                    adj[u].update(right_part)
+                for v in right_part:
+                    adj[v].update(left_part)
+            stack += ((pos - 2 * right, start, odd), (pos - 1, mid, odd))
     return Graph(n, tuple(map(frozenset, adj)))
 
 
@@ -430,22 +484,32 @@ def _canonical_tree(n: int, merges: list[tuple[int, list[int]]], root: int) -> C
         children[x] = kids
         stack += kids
 
+    # Concatenating a module's children copies each subtree once per module
+    # above it. Each join module of s vertices has at least s - 1 edges and
+    # each union module is no larger than the join above it, so the copies
+    # cost O(n + m) in all.
     smallest = list(range(n)) + [0] * len(merges)
-    built: dict[int, Cotree] = {}
+    built: dict[int, tuple[bytearray, array]] = {}
     for x in reversed(order):
         kids = children.pop(x)
         kids.sort(key=smallest.__getitem__)
         smallest[x] = smallest[kids[0]]
-        parts = [Leaf(c) if c < n else built.pop(c) for c in kids]
-        join = merges[x - n][0] == _TRUE
-        if join:
-            parts = [p if isinstance(p, Leaf) else complement_node(p) for p in parts]
-        acc, size = parts[0], leaf_count(parts[0])
-        for part in parts[1:]:
-            size += leaf_count(part)
-            acc = Union(acc, part, size)
-        built[x] = Complement(acc, size) if join else acc
-    return Leaf(root) if root < n else built[root]
+        flip = COMPLEMENTED if merges[x - n][0] == _TRUE else 0
+        kinds, labels = bytearray(), array("i")
+        for i, y in enumerate(kids):
+            if y < n:
+                kinds.append(LEAF)
+                labels.append(y)
+            else:
+                more_kinds, more_labels = built.pop(y)
+                kinds += more_kinds
+                labels += more_labels
+                kinds[-1] ^= flip
+            if i:
+                kinds.append(UNION)
+        kinds[-1] ^= flip
+        built[x] = kinds, labels
+    return Leaf(root) if root < n else _from_arrays(*built[root])
 
 
 def random_cotree(n: int, seed: int) -> Cotree:
@@ -458,67 +522,68 @@ def random_cotree(n: int, seed: int) -> Cotree:
     if n < 1:
         raise ValueError("a cotree needs at least one leaf")
     rng = random.Random(seed)
-    next_id = 0
-    values: list[Cotree] = []
-    todo: list[tuple[str, int]] = [("make", n)]
+    randint, draw = rng.randint, rng.random
+    kinds = bytearray()
+    # A positive item is a subtree to draw with that many leaves, a negative
+    # one the kind of the union that closes a drawn pair. Each node draws its
+    # split and its complement, then its left subtree comes first.
+    todo = [n]
     while todo:
-        op, arg = todo.pop()
-        if op == "make":
-            if arg == 1:
-                values.append(Leaf(next_id))
-                next_id += 1
-            else:
-                split = rng.randint(1, arg - 1)
-                wrap = rng.random() < 0.5
-                todo.append(("combine", int(wrap)))
-                todo.append(("make", arg - split))
-                todo.append(("make", split))
-        else:
-            right = values.pop()
-            left = values.pop()
-            node: Cotree = union_node(left, right)
-            if arg:
-                node = complement_node(node)
-            values.append(node)
-    return values[0]
+        size = todo.pop()
+        if size < 0:
+            kinds.append(-size)
+            continue
+        while size > 1:
+            split = randint(1, size - 1)
+            todo.append(-(UNION | COMPLEMENTED) if draw() < 0.5 else -UNION)
+            todo.append(size - split)
+            size = split
+        kinds.append(LEAF)
+    return _from_arrays(kinds, array("i", range(n)))
 
 
 def format_cotree(t: Cotree) -> str:
     """S-expression serialization: ``L<id>`` | ``(U <t> <t>)`` | ``(C <t>)``."""
-    close = object()
+    kinds, labels = flat(t)
+    sizes = _leaf_counts(kinds)
     parts: list[str] = []
-    stack: list[object] = [t]
+    leaf = 0
+    stack = [len(kinds) - 1]  # node positions, and -1 for a ")"
     while stack:
-        item = stack.pop()
-        if item is close:
+        pos = stack.pop()
+        if pos < 0:
             parts.append(")")
-        elif isinstance(item, Leaf):
-            parts.append(f"L{item.vertex}")
-        elif isinstance(item, Union):
-            parts.append("(U")
-            stack.extend([close, item.right, item.left])
-        else:
+            continue
+        kind = kinds[pos]
+        if kind & COMPLEMENTED:
             parts.append("(C")
-            stack.extend([close, item.child])
-    out = ""
-    for p in parts:
-        out += p if (not out or p == ")") else " " + p
-    return out
+            stack.append(-1)
+        if kind & UNION:
+            parts.append("(U")
+            stack += (-1, pos - 1, pos - 2 * sizes[pos - 1])
+        else:
+            parts.append(f"L{labels[leaf]}")
+            leaf += 1
+    return " ".join(parts).replace(" )", ")")
 
 
 def parse_cotree(text: str) -> Cotree:
     """Parse the s-expression grammar; the result is normalized.
 
-    One pass over the tokens: finished subtrees wait on a value stack, and
-    each open parenthesis records its operator and the stack height below
-    it, so a closing parenthesis knows how many subtrees it received.
+    One pass over the tokens writes the kinds in post-order: a leaf or a
+    closing union appends one, a closing complement flips the flag of the
+    last finished subtree. Each open parenthesis records its operator and
+    how many subtrees were finished before it, so a closing parenthesis
+    knows how many it received.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ValueError("empty cotree text")
-    values: list[Cotree] = []
+    kinds = bytearray()
+    labels = array("i")
     ops: list[str] = []
     heights: list[int] = []
+    done = 0  # finished subtrees not yet under a closed operator
     it = iter(tokens)
     for tok in it:
         if tok == "(":
@@ -526,31 +591,35 @@ def parse_cotree(text: str) -> Cotree:
             if op != "U" and op != "C":
                 raise ValueError("expected U or C after '('")
             ops.append(op)
-            heights.append(len(values))
+            heights.append(done)
             continue
         if tok == ")":
             if not ops:
                 raise ValueError("unbalanced ')'")
-            received = len(values) - heights.pop()
+            received = done - heights.pop()
             if ops.pop() == "U":
                 if received != 2:
                     raise ValueError("U takes exactly two subtrees")
-                right = values.pop()
-                node = union_node(values.pop(), right)
+                kinds.append(UNION)
+                done -= 1
             else:
                 if received != 1:
                     raise ValueError("C takes exactly one subtree")
-                node = complement_node(values.pop())
+                kinds[-1] ^= COMPLEMENTED
         elif tok == "U" or tok == "C":
             raise ValueError(f"operator {tok!r} outside parentheses")
         else:
             digits = tok[1:]
             if tok[0] != "L" or not digits.isdecimal():
                 raise ValueError(f"bad token {tok!r}")
-            node = Leaf(int(digits))
-        if not ops and values:
+            try:
+                labels.append(int(digits))
+            except OverflowError:
+                raise ValueError(f"leaf label {tok!r} out of range") from None
+            kinds.append(LEAF)
+            done += 1
+        if done > 1 and not ops:
             raise ValueError("multiple top-level cotree terms")
-        values.append(node)
     if ops:
         raise ValueError("unbalanced '('")
-    return values[0]
+    return _from_arrays(kinds, labels)

@@ -40,7 +40,7 @@ only by two chosen vertices. In the union:
     and both are dropped when the other side has ``s = 2``.
 
 Tables are flat. Every entry one ``dp_run`` creates lives in its
-``EntryPool``, three parallel lists indexed by entry id: the entry's total
+``EntryPool``, three parallel arrays indexed by entry id: the entry's total
 weight and two back-pointers (the ids of the two side entries it combines,
 or the vertex of a chosen leaf). A ``Table`` is the tuple of a subtree's
 finite states in ascending order plus the tuple of their entry ids; at
@@ -61,10 +61,12 @@ are at least two of them, and a single isolated vertex never does.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple, Sequence
 
-from .cotree import Complement, Cotree, Leaf, build_cotree
+from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, flat
 from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import weak_pair
@@ -139,8 +141,8 @@ class EntryPool(NamedTuple):
     """
 
     weight: list[Weight]
-    left: list[int]
-    right: list[int]
+    left: array
+    right: array
 
 
 class Table(NamedTuple):
@@ -165,14 +167,11 @@ class TableEntry(NamedTuple):
 
 Plan = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
 
-# Memoised plans of pure functions of their keys, filled on first use. Only
-# 20 finite-state sets are reachable from leaf tables, so these hold at most
-# a few hundred entries. Keyed by (states1, leaf1, states2, leaf2) and by
-# states.
-_UNION_PLANS: dict[tuple, Plan] = {}
-_COMPLEMENT_PLANS: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
-
+# Plans are pure functions of their arguments, memoised on first use. Only
+# 20 finite-state sets are reachable from leaf tables, so the caches hold at
+# most a few hundred entries.
+@cache
 def _union_plan(
     states1: tuple[int, ...], leaf1: bool, states2: tuple[int, ...], leaf2: bool
 ) -> Plan:
@@ -198,6 +197,7 @@ def _union_plan(
     return states, tuple(tuple(candidates[k]) for k in states)
 
 
+@cache
 def _complement_plan(states: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The reversed states in ascending order and, for each, the position in
     ``states`` of the state it came from."""
@@ -212,35 +212,22 @@ def dp_run(
 ) -> Table:
     """Evaluate the dynamic program bottom-up over the cotree.
 
-    Constant work per node: a leaf adds one entry to the pool, a union one
-    per finite state of its table, a complement none. When ``trace`` is a
-    list, every node's table is appended to it in post-order.
+    One pass over the tree's post-order kinds: a leaf adds one entry to the
+    pool, a union one per finite state of its table, a complement none.
+    When ``trace`` is a list, every node's table is appended to it in
+    post-order, with a view of the node.
     """
-    pool = EntryPool([0], [-1], [-1])
+    kinds, labels = flat(t)
+    pool = EntryPool([0], array("i", [-1]), array("i", [-1]))
     weight, left, right = pool
+    nodes = None if trace is None else iter_nodes(t)
     values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for node in iter_nodes(t):
-        if isinstance(node, Leaf):
-            v = node.vertex
-            value = (_LEAF_STATES, (len(weight), _EMPTY))
-            weight.append(weights[v])
-            left.append(v)
-            right.append(-1)
-        elif isinstance(node, Complement):
-            states, ids = values.pop()
-            plan = _COMPLEMENT_PLANS.get(states)
-            if plan is None:
-                plan = _COMPLEMENT_PLANS[states] = _complement_plan(states)
-            states, order = plan
-            value = (states, tuple([ids[p] for p in order]))
-        else:
+    leaf = 0
+    for kind in kinds:
+        if kind & UNION:
             states2, ids2 = values.pop()
             states1, ids1 = values.pop()
-            key = (states1, _EMPTY in ids1, states2, _EMPTY in ids2)
-            plan = _UNION_PLANS.get(key)
-            if plan is None:
-                plan = _UNION_PLANS[key] = _union_plan(*key)
-            states, groups = plan
+            states, groups = _union_plan(states1, _EMPTY in ids1, states2, _EMPTY in ids2)
             ids = []
             for group in groups:
                 best = None
@@ -255,9 +242,22 @@ def dp_run(
                 left.append(l)
                 right.append(r)
             value = (states, tuple(ids))
+        else:
+            v = labels[leaf]
+            leaf += 1
+            value = (_LEAF_STATES, (len(weight), _EMPTY))
+            weight.append(weights[v])
+            left.append(v)
+            right.append(-1)
+        if nodes is not None:
+            trace.append((next(nodes), Table(*value, pool)))
+        if kind & COMPLEMENTED:
+            states, ids = value
+            states, order = _complement_plan(states)
+            value = (states, tuple([ids[p] for p in order]))
+            if nodes is not None:
+                trace.append((next(nodes), Table(*value, pool)))
         values.append(value)
-        if trace is not None:
-            trace.append((node, Table(*value, pool)))
     return Table(*values[0], pool)
 
 

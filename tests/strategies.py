@@ -1,19 +1,24 @@
 """Hypothesis strategies and small shared helpers for the test suite."""
 
+import re
 from itertools import combinations
 
 import hypothesis.strategies as st
 
 from ftmd import (
+    Complement,
     Leaf,
     complement,
     complement_node,
     connected_components,
+    format_cotree,
     from_edges,
+    parse_cotree,
     random_cotree,
     realize,
     union_node,
 )
+from ftmd.cotree import iter_nodes
 
 
 @st.composite
@@ -107,3 +112,17 @@ def component_with_forced_0_vertex():
 def graph_key(g):
     """Canonical key for labelled-graph deduplication."""
     return (g.n, tuple(g.edges()))
+
+
+def relabel(t, mapping):
+    """Copy of ``t`` with every leaf id passed through ``mapping``."""
+    text = re.sub(r"L(\d+)", lambda m: f"L{mapping[int(m[1])]}", format_cotree(t))
+    return parse_cotree(text)
+
+
+def is_normalized(t):
+    """No complement node directly under another complement node."""
+    return not any(
+        isinstance(node, Complement) and isinstance(node.child, Complement)
+        for node in iter_nodes(t)
+    )

@@ -26,12 +26,11 @@ from ftmd import (
     oracle_min_ft,
     random_cotree,
     realize,
-    relabel,
     solve,
 )
 from ftmd.bench import doubling_ratios, run_scaling
 from signatures import k_vertex_profile, state_signature
-from strategies import enumerate_cotrees, graph_key
+from strategies import enumerate_cotrees, graph_key, relabel
 
 
 def report(name, ok, detail=""):

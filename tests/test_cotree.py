@@ -1,6 +1,9 @@
 import copy
+import gc
+import hashlib
 import pickle
 import random
+import re
 import time
 from itertools import combinations
 
@@ -19,18 +22,17 @@ from ftmd import (
     find_induced_p4,
     format_cotree,
     from_edges,
-    is_normalized,
     leaf_count,
     leaf_labels,
     node_count,
     parse_cotree,
     random_cotree,
     realize,
-    relabel,
     solve,
     union_node,
 )
-from strategies import cotrees
+from ftmd.cotree import iter_nodes, root_components
+from strategies import cotrees, is_normalized, relabel
 import reference_cotree
 
 
@@ -238,13 +240,23 @@ def test_equality_and_hash_follow_the_tree():
     assert hash(a) == hash(union_node(Leaf(0), Leaf(1)))
     assert a != union_node(Leaf(1), Leaf(0))
     assert a != complement_node(a)
-    assert a != Union(Leaf(0), Leaf(1), 3)
+    with pytest.raises(ValueError):
+        Union(Leaf(0), Leaf(1), 3)
     assert Leaf(0) != Leaf(1) and Leaf(0) != 0
     # Same post-order leaves, different shape.
     left = union_node(union_node(Leaf(0), Leaf(1)), Leaf(2))
     right = union_node(Leaf(0), union_node(Leaf(1), Leaf(2)))
     assert left != right
     assert len({left, right, union_node(union_node(Leaf(0), Leaf(1)), Leaf(2))}) == 2
+
+
+def test_constructors_check_leaf_counts_and_nesting():
+    pair = union_node(Leaf(0), Leaf(1))
+    with pytest.raises(ValueError):
+        Complement(pair, 3)
+    with pytest.raises(ValueError):
+        Complement(complement_node(pair), 2)
+    assert Complement(pair, 2) == complement_node(pair)
 
 
 def test_double_complement_collapses():
@@ -317,6 +329,78 @@ def test_deep_cotree_repr_pickle_and_copy():
     assert copy.copy(chain) == chain
     solution = solve(realize(chain))
     assert pickle.loads(pickle.dumps(solution)) == solution
+
+
+# sha256 of format_cotree(random_cotree(4096, seed)): generated instances,
+# the benchmark's among them, must not drift when the generator changes.
+RANDOM_COTREE_SHA256 = {
+    0: "552321b337a3e9e0522b4f8d76457035444407e0e7e93e7bf353baa8b0749611",
+    1: "6032e91ec6ea07fe975aee47d54ec79b2eaf40dae6e5c98902283652e316ceb6",
+    2: "c7dbc801c6b43d0ab97e0a04f4114edb4659a72332bfff978679aef83e07206e",
+}
+
+
+def test_random_cotree_output_is_pinned():
+    for seed, digest in RANDOM_COTREE_SHA256.items():
+        text = format_cotree(random_cotree(4096, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_parse_and_generate_create_no_object_per_node():
+    n = 2**14
+    kept = random_cotree(n, 1)
+    text = format_cotree(kept)
+    for make in (lambda: parse_cotree(text), lambda: random_cotree(n, 2)):
+        gc.collect()
+        before = len(gc.get_objects())
+        tree = make()
+        assert len(gc.get_objects()) - before < 100
+        assert leaf_count(tree) == n
+
+
+def subexpressions(text):
+    """Every node's text and its children's texts, in post-order, found by
+    matching parentheses in the s-expression."""
+    out = []
+    open_nodes = [(0, [])]  # (start in text, finished children) per open node
+    for m in re.finditer(r"\([UC]|\)|L\d+", text):
+        if m[0].startswith("("):
+            open_nodes.append((m.start(), []))
+            continue
+        start, kids = open_nodes.pop() if m[0] == ")" else (m.start(), [])
+        out.append((text[start : m.end()], kids))
+        open_nodes[-1][1].append(text[start : m.end()])
+    return out
+
+
+def test_views_match_the_reparsed_subexpressions():
+    rng = random.Random(17)
+    for i in range(150):
+        tree = random_cotree(rng.randint(1, 200), rng.randrange(2**31))
+        if i % 3 == 0:
+            tree = complement_node(tree)
+        nodes = list(iter_nodes(tree))
+        assert nodes[-1] == tree
+        expected = subexpressions(format_cotree(tree))
+        for node, (sub, kids) in zip(nodes, expected, strict=True):
+            assert format_cotree(node) == sub
+            assert node == parse_cotree(sub) and hash(node) == hash(parse_cotree(sub))
+            assert leaf_labels(node) == [int(x) for x in re.findall(r"L(\d+)", sub)]
+            assert leaf_count(node) == sub.count("L")
+            assert node_count(node) == sub.count("L") + sub.count("(")
+            if isinstance(node, Leaf):
+                assert (sub, kids) == (f"L{node.vertex}", [])
+            elif isinstance(node, Union):
+                assert sub.startswith("(U") and node.leaves == leaf_count(node)
+                assert [node.left, node.right] == [parse_cotree(k) for k in kids]
+                assert [format_cotree(node.left), format_cotree(node.right)] == kids
+            else:
+                assert sub.startswith("(C") and node.leaves == leaf_count(node)
+                assert node.child == parse_cotree(kids[0])
+                assert format_cotree(node.child) == kids[0]
+        parts = root_components(tree)
+        assert [leaf for part in parts for leaf in leaf_labels(part)] == leaf_labels(tree)
+        assert all(not isinstance(part, Union) for part in parts)
 
 
 def test_nodes_have_no_instance_dict():

@@ -18,26 +18,28 @@ from ftmd import (
     entry_vertices,
     extract_connected_min,
     finite_states,
+    format_cotree,
     from_edges,
     is_2nr,
     is_fault_tolerant,
     leaf_count,
     oracle_min_2nr,
     oracle_min_ft,
+    parse_cotree,
     random_cotree,
     realize,
-    relabel,
     solve,
     state_index,
     state_tuple,
     union_node,
 )
+from ftmd.cotree import root_components
 import ftmd.dp as dp_module
 from ftmd.dp import Table
 from reference_dp import Entry, dp_complement, dp_leaf, dp_union
 import reference_dp
 from signatures import state_signature
-from strategies import enumerate_cotrees
+from strategies import enumerate_cotrees, relabel
 
 
 def table_of(states):
@@ -280,6 +282,23 @@ def test_trace_signatures_are_sound_on_subtrees():
                 chosen = frozenset(rank[v] for v in entry_vertices(entry))
                 assert is_2nr(sub, chosen)
                 assert state_signature(sub, chosen) == key
+
+
+def test_dp_run_on_root_components_matches_reparsed_copies():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(2, 120)
+        tree = union_node(random_cotree(n, rng.randrange(2**31)), Leaf(n))
+        weights = [rng.randint(0, 4) for _ in range(n + 1)]
+        for part in root_components(tree):
+            copy = parse_cotree(format_cotree(part))
+            trace, copy_trace = [], []
+            table = dp_run(part, weights, trace)
+            copy_table = dp_run(copy, weights, copy_trace)
+            assert sets_of(table) == sets_of(copy_table)
+            assert extract_connected_min(table) == extract_connected_min(copy_table)
+            assert [node for node, _ in trace] == [node for node, _ in copy_trace]
+            assert [sets_of(t) for _, t in trace] == [sets_of(t) for _, t in copy_trace]
 
 
 def test_solve_two_isolated_vertices():
