@@ -1,104 +1,60 @@
-"""Exact minimum-weight fault-tolerant resolving sets on vertex-weighted cographs."""
+"""Exact minimum-weight fault-tolerant resolving sets on vertex-weighted cographs.
 
-from .graph import (
-    DistanceRow,
-    Graph,
-    bfs_distances,
-    complement,
-    connected_components,
-    disjoint_union,
-    from_edges,
-    induced_subgraph,
-)
+The names below are the documented API. Everything else stays importable
+from its module: ``ftmd.graph``, ``ftmd.cotree``, ``ftmd.resolving``,
+``ftmd.dp`` and ``ftmd.oracle``.
+"""
+
+from .graph import Graph, from_edges
 from .cotree import (
     Complement,
-    Cotree,
     EmptyGraphError,
     Leaf,
     NotCographError,
     Union,
     build_cotree,
     complement_node,
-    find_induced_p4,
     format_cotree,
-    leaf_count,
-    leaf_labels,
-    node_count,
     parse_cotree,
     random_cotree,
     realize,
     union_node,
 )
-from .resolving import (
-    first_low_h_pair,
-    first_unresolved_pair,
-    h,
-    is_2nr,
-    is_fault_tolerant,
-    is_k_resolving,
-    is_resolving,
-    weak_pair,
-)
+from .resolving import is_fault_tolerant, weak_pair
 from .dp import (
     ComponentOutcome,
     Solution,
     dp_run,
-    entry_vertices,
     extract_connected_min,
     finite_states,
     solve,
-    state_index,
-    state_tuple,
 )
-from .oracle import OracleResult, oracle_min_2nr, oracle_min_ft, oracle_min_resolving
+from .oracle import oracle_min_ft
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ComponentOutcome",
     "Complement",
-    "Cotree",
-    "DistanceRow",
     "EmptyGraphError",
     "Graph",
     "Leaf",
     "NotCographError",
-    "OracleResult",
     "Solution",
     "Union",
-    "bfs_distances",
     "build_cotree",
-    "complement",
     "complement_node",
-    "connected_components",
-    "disjoint_union",
     "dp_run",
-    "entry_vertices",
     "extract_connected_min",
-    "find_induced_p4",
     "finite_states",
-    "first_low_h_pair",
-    "first_unresolved_pair",
     "format_cotree",
     "from_edges",
-    "h",
-    "induced_subgraph",
-    "is_2nr",
     "is_fault_tolerant",
-    "is_k_resolving",
-    "is_resolving",
-    "leaf_count",
-    "leaf_labels",
-    "node_count",
-    "oracle_min_2nr",
     "oracle_min_ft",
-    "oracle_min_resolving",
     "parse_cotree",
     "random_cotree",
     "realize",
     "solve",
-    "state_index",
-    "state_tuple",
     "union_node",
     "weak_pair",
 ]

@@ -12,7 +12,9 @@ left to right. A subtree with k leaves is the 2k - 1 bytes ending at its
 root. The functions here and ``dp.dp_run`` work on the arrays and create no
 object per node. ``Leaf``, ``Union`` and ``Complement`` are views of one
 subtree, typed by its root; equality, hashing and pickling use the
-subtree's arrays, and their constructors concatenate them.
+subtree's arrays, and ``repr`` is the ``parse_cotree`` call that rebuilds
+it. New trees come from ``Leaf(v)``, ``union_node`` and
+``complement_node``, which concatenate the arrays.
 
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
 with equal open or closed neighbourhoods until one is left, in O(n + m)
@@ -98,22 +100,7 @@ class _Node:
         return hash((bytes(kinds), labels.tobytes()))
 
     def __repr__(self) -> str:
-        """The dataclass ``repr``, built with an explicit stack."""
-        parts: list[str] = []
-        stack: list[object] = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
-            elif isinstance(item, Leaf):
-                parts.append(f"Leaf(vertex={item.vertex!r})")
-            elif isinstance(item, Union):
-                parts.append("Union(left=")
-                stack += [f", leaves={item.leaves!r})", item.right, ", right=", item.left]
-            else:
-                parts.append("Complement(child=")
-                stack += [f", leaves={item.leaves!r})", item.child]
-        return "".join(parts)
+        return f"parse_cotree({format_cotree(self)!r})"
 
     def __reduce__(self) -> tuple:
         return _from_arrays, flat(self)
@@ -127,6 +114,8 @@ class Leaf(_Node):
     __slots__ = ()
 
     def __new__(cls, vertex: int) -> Leaf:
+        if not 0 <= vertex < 2**31:
+            raise ValueError(f"leaf label {vertex!r} out of range")
         return _from_arrays(bytearray((LEAF,)), array("i", (vertex,)))
 
     @property
@@ -137,12 +126,8 @@ class Leaf(_Node):
 class Union(_Node):
     __slots__ = ()
 
-    def __new__(cls, left: Cotree, right: Cotree, leaves: int) -> Union:
-        count = left._leaves + right._leaves
-        if leaves != count:
-            raise ValueError(f"the children have {count} leaves, not {leaves}")
-        (kinds1, labels1), (kinds2, labels2) = flat(left), flat(right)
-        return _from_arrays(kinds1 + kinds2 + bytes((UNION,)), labels1 + labels2)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build a union with union_node(left, right)")
 
     @property
     def left(self) -> Cotree:
@@ -158,13 +143,8 @@ class Union(_Node):
 class Complement(_Node):
     __slots__ = ()
 
-    def __new__(cls, child: Cotree, leaves: int) -> Complement:
-        if isinstance(child, Complement):
-            raise ValueError("a complement cannot sit directly under a complement")
-        if leaves != child._leaves:
-            raise ValueError(f"the child has {child._leaves} leaves, not {leaves}")
-        kinds, labels = flat(child)
-        return _from_arrays(kinds[:-1] + bytes((kinds[-1] | COMPLEMENTED,)), labels)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("build a complement with complement_node(child)")
 
     @property
     def child(self) -> Cotree:
@@ -217,14 +197,16 @@ def leaf_count(t: Cotree) -> int:
 
 
 def union_node(left: Cotree, right: Cotree) -> Union:
-    return Union(left, right, left._leaves + right._leaves)
+    (kinds1, labels1), (kinds2, labels2) = flat(left), flat(right)
+    return _from_arrays(kinds1 + kinds2 + bytes((UNION,)), labels1 + labels2)
 
 
 def complement_node(child: Cotree) -> Cotree:
     """Complement wrapper; collapses a double complement."""
     if isinstance(child, Complement):
         return child.child
-    return Complement(child, child._leaves)
+    kinds, labels = flat(child)
+    return _from_arrays(kinds[:-1] + bytes((kinds[-1] | COMPLEMENTED,)), labels)
 
 
 def iter_nodes(t: Cotree) -> Iterator[Cotree]:
@@ -258,21 +240,13 @@ def root_components(t: Cotree) -> list[Cotree]:
     ascending order of their smallest vertex; the leaves among them are the
     isolated vertices.
     """
-    if not isinstance(t, Union):
-        return [t]
-    tree = t._tree
-    sizes = tree.sizes
-    out: list[Cotree] = []
-    end = t._first + t._leaves  # the parts found so far, right to left, start here
-    stack = [t._pos]
+    out, stack = [], [t]
     while stack:
-        pos = stack.pop()
-        if tree.kinds[pos] == UNION or pos == t._pos:
-            stack += (pos - 2 * sizes[pos - 1], pos - 1)
+        node = stack.pop()
+        if isinstance(node, Union):
+            stack += (node.right, node.left)
         else:
-            end -= sizes[pos]
-            out.append(_view(tree, pos, end, sizes[pos]))
-    out.reverse()
+            out.append(node)
     return out
 
 

@@ -215,9 +215,14 @@ def dp_run(
     One pass over the tree's post-order kinds: a leaf adds one entry to the
     pool, a union one per finite state of its table, a complement none.
     When ``trace`` is a list, every node's table is appended to it in
-    post-order, with a view of the node.
+    post-order, with a view of the node. Raises ``ValueError`` when leaf
+    labels repeat or fall outside ``range(len(weights))``.
     """
     kinds, labels = flat(t)
+    if len(set(labels)) < len(labels):
+        raise ValueError("cotree leaf labels repeat")
+    if min(labels) < 0 or max(labels) >= len(weights):
+        raise ValueError(f"cotree leaf labels must lie in 0 .. {len(weights) - 1}")
     pool = EntryPool([0], array("i", [-1]), array("i", [-1]))
     weight, left, right = pool
     nodes = None if trace is None else iter_nodes(t)

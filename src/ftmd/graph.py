@@ -45,9 +45,6 @@ class Graph:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
         return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
@@ -94,12 +91,6 @@ def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
     return w
 
 
-def complement(g: Graph) -> Graph:
-    """Graph with exactly the non-edges of ``g``; an involution."""
-    full = frozenset(range(g.n))
-    return Graph(g.n, tuple(full - g.adj[v] - {v} for v in range(g.n)))
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; the vertices of ``g2`` are shifted up by ``g1.n``."""
     shift = g1.n
@@ -144,20 +135,3 @@ def connected_components(g: Graph) -> list[frozenset[int]]:
         components.append(frozenset(comp))
     return components
 
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by ``s``, reindexed to ``0 .. |s|-1``.
-
-    Returns the subgraph and the old-to-new id map; new ids follow the
-    ascending order of the old ones.
-    """
-    members = sorted(set(s))
-    for v in members:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    old_to_new = {old: new for new, old in enumerate(members)}
-    keep = frozenset(members)
-    adj = tuple(
-        frozenset(old_to_new[x] for x in (g.adj[old] & keep)) for old in members
-    )
-    return Graph(len(members), adj), old_to_new

@@ -18,13 +18,8 @@ from ftmd.cotree import (
     iter_nodes,
     union_node,
 )
-from ftmd.graph import (
-    Graph,
-    complement,
-    connected_components,
-    disjoint_union,
-    induced_subgraph,
-)
+from ftmd.graph import Graph, connected_components, disjoint_union
+from strategies import complement, induced_subgraph
 
 # Witness extraction enumerates 4-subsets of the failing subgraph; beyond
 # this size the error is raised without a witness.

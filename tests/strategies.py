@@ -8,9 +8,7 @@ import hypothesis.strategies as st
 from ftmd import (
     Complement,
     Leaf,
-    complement,
     complement_node,
-    connected_components,
     format_cotree,
     from_edges,
     parse_cotree,
@@ -18,6 +16,7 @@ from ftmd import (
     realize,
     union_node,
 )
+from ftmd.graph import Graph, connected_components
 from ftmd.cotree import iter_nodes
 
 
@@ -107,6 +106,30 @@ def component_with_forced_0_vertex():
     # Vertices: 0 pendant-like, 1 hub joined to a 4-cycle 2-3-4-5.
     edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4), (4, 5), (2, 5)]
     return from_edges(6, edges)
+
+
+def complement(g):
+    """Graph with exactly the non-edges of ``g``; an involution."""
+    full = frozenset(range(g.n))
+    return Graph(g.n, tuple(full - g.adj[v] - {v} for v in range(g.n)))
+
+
+def induced_subgraph(g, s):
+    """Subgraph induced by ``s``, reindexed to ``0 .. |s|-1``.
+
+    Returns the subgraph and the old-to-new id map; new ids follow the
+    ascending order of the old ones.
+    """
+    members = sorted(set(s))
+    for v in members:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    old_to_new = {old: new for new, old in enumerate(members)}
+    keep = frozenset(members)
+    adj = tuple(
+        frozenset(old_to_new[x] for x in (g.adj[old] & keep)) for old in members
+    )
+    return Graph(len(members), adj), old_to_new
 
 
 def graph_key(g):

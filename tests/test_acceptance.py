@@ -11,26 +11,22 @@ from ftmd import (
     Leaf,
     NotCographError,
     build_cotree,
-    complement,
-    connected_components,
-    disjoint_union,
     dp_run,
-    entry_vertices,
-    find_induced_p4,
     finite_states,
     from_edges,
-    is_2nr,
     is_fault_tolerant,
-    leaf_count,
-    leaf_labels,
     oracle_min_ft,
     random_cotree,
     realize,
     solve,
 )
+from ftmd.graph import connected_components, disjoint_union
+from ftmd.cotree import find_induced_p4, leaf_count, leaf_labels
+from ftmd.resolving import is_2nr
+from ftmd.dp import entry_vertices
 from ftmd.bench import doubling_ratios, run_scaling
 from signatures import k_vertex_profile, state_signature
-from strategies import enumerate_cotrees, graph_key, relabel
+from strategies import complement, enumerate_cotrees, graph_key, relabel
 
 
 def report(name, ok, detail=""):

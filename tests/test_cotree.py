@@ -19,26 +19,29 @@ from ftmd import (
     Union,
     build_cotree,
     complement_node,
-    find_induced_p4,
     format_cotree,
     from_edges,
-    leaf_count,
-    leaf_labels,
-    node_count,
     parse_cotree,
     random_cotree,
     realize,
     solve,
     union_node,
 )
-from ftmd.cotree import iter_nodes, root_components
+from ftmd.cotree import (
+    find_induced_p4,
+    iter_nodes,
+    leaf_count,
+    leaf_labels,
+    node_count,
+    root_components,
+)
 from strategies import cotrees, is_normalized, relabel
 import reference_cotree
 
 
 def test_build_k2():
     t = build_cotree(from_edges(2, [(0, 1)]))
-    assert t == Complement(Union(Leaf(0), Leaf(1), 2), 2)
+    assert t == complement_node(union_node(Leaf(0), Leaf(1)))
 
 
 def assert_induced_p4(g, witness):
@@ -240,7 +243,7 @@ def test_equality_and_hash_follow_the_tree():
     assert hash(a) == hash(union_node(Leaf(0), Leaf(1)))
     assert a != union_node(Leaf(1), Leaf(0))
     assert a != complement_node(a)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         Union(Leaf(0), Leaf(1), 3)
     assert Leaf(0) != Leaf(1) and Leaf(0) != 0
     # Same post-order leaves, different shape.
@@ -250,13 +253,20 @@ def test_equality_and_hash_follow_the_tree():
     assert len({left, right, union_node(union_node(Leaf(0), Leaf(1)), Leaf(2))}) == 2
 
 
-def test_constructors_check_leaf_counts_and_nesting():
+def test_view_types_name_their_builders():
     pair = union_node(Leaf(0), Leaf(1))
-    with pytest.raises(ValueError):
-        Complement(pair, 3)
-    with pytest.raises(ValueError):
-        Complement(complement_node(pair), 2)
-    assert Complement(pair, 2) == complement_node(pair)
+    with pytest.raises(TypeError, match=r"union_node\(left, right\)"):
+        Union(Leaf(0), Leaf(1))
+    with pytest.raises(TypeError, match=r"complement_node\(child\)"):
+        Complement(pair)
+    assert isinstance(complement_node(pair), Complement)
+
+
+@pytest.mark.parametrize("vertex", [-1, 2**31])
+def test_leaf_rejects_out_of_range_labels(vertex):
+    with pytest.raises(ValueError, match="out of range"):
+        Leaf(vertex)
+    assert Leaf(2**31 - 1).vertex == 2**31 - 1
 
 
 def test_double_complement_collapses():
@@ -312,17 +322,16 @@ def test_parse_rejects_bad_input(text):
     assert str(exc.value) == PARSE_ERRORS[text]
 
 
-def test_repr_matches_the_dataclass_form():
+def test_repr_evals_back_to_the_tree():
     t = union_node(Leaf(0), complement_node(union_node(Leaf(1), Leaf(2))))
-    assert repr(t) == (
-        "Union(left=Leaf(vertex=0), right=Complement(child=Union("
-        "left=Leaf(vertex=1), right=Leaf(vertex=2), leaves=2), leaves=2), leaves=3)"
-    )
+    assert repr(t) == "parse_cotree('(U L0 (C (U L1 L2)))')"
+    assert eval(repr(t)) == t
+    assert eval(repr(t.right.child)) == t.right.child
 
 
 def test_deep_cotree_repr_pickle_and_copy():
     chain = threshold_chain(1024)
-    assert repr(chain).count("Leaf(vertex=") == 1024
+    assert eval(repr(chain), {"parse_cotree": parse_cotree}) == chain
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(chain, protocol)) == chain
     assert copy.deepcopy(chain) == chain

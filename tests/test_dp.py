@@ -1,3 +1,4 @@
+from array import array
 import math
 import random
 import time
@@ -15,24 +16,22 @@ from ftmd import (
     build_cotree,
     complement_node,
     dp_run,
-    entry_vertices,
     extract_connected_min,
     finite_states,
     format_cotree,
     from_edges,
-    is_2nr,
     is_fault_tolerant,
-    leaf_count,
-    oracle_min_2nr,
     oracle_min_ft,
     parse_cotree,
     random_cotree,
     realize,
     solve,
-    state_index,
-    state_tuple,
     union_node,
 )
+from ftmd.cotree import LEAF, UNION, _from_arrays, leaf_count
+from ftmd.resolving import is_2nr
+from ftmd.dp import entry_vertices, state_index, state_tuple
+from ftmd.oracle import oracle_min_2nr
 from ftmd.cotree import root_components
 import ftmd.dp as dp_module
 from ftmd.dp import Table
@@ -213,7 +212,7 @@ def test_extract_examples():
 
 
 def _subtree_graph_and_map(node):
-    from ftmd import leaf_labels
+    from ftmd.cotree import leaf_labels
 
     labels = leaf_labels(node)
     rank = {label: i for i, label in enumerate(sorted(labels))}
@@ -368,7 +367,7 @@ def test_component_additivity():
         n1, n2 = rng.randint(2, 5), rng.randint(2, 5)
         g1 = realize(random_cotree(n1, rng.randrange(2**31)))
         g2 = realize(random_cotree(n2, rng.randrange(2**31)))
-        from ftmd import connected_components, disjoint_union
+        from ftmd.graph import connected_components, disjoint_union
 
         if len(connected_components(g1)) > 1 or len(connected_components(g2)) > 1:
             continue
@@ -455,3 +454,36 @@ def test_solve_picks_the_reference_set_on_ties():
         g = realize(random_cotree(n, rng.randrange(2**31)))
         weights = [1] * n if i % 2 else [rng.randint(0, 3) for _ in range(n)]
         assert solve(g, weights) == _reference_solve(g, weights)
+
+
+def test_left_scan_order_picks_the_returned_optimum():
+    # Six sets of weight 10 are optimal. Scanning the left side's states with
+    # a 0-vertex first returns the one below; a plain ascending scan would
+    # return (0, 1, 2, 3, 4, 5, 8, 9, 10, 11).
+    t = complement_node(
+        parse_cotree(
+            "(U (C (U L0 (C (U L1 (U (C (U L2 L3)) (C (U L4 L5)))))))"
+            " (C (U L6 (C (U L7 (U (C (U L8 L9)) (C (U L10 L11))))))))"
+        )
+    )
+    g = realize(t)
+    solution = solve(g)
+    assert solution.weight == oracle_min_ft(g).weight == 10
+    assert solution.vertices == (2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+
+
+def test_dp_run_rejects_repeated_labels():
+    with pytest.raises(ValueError, match="repeat"):
+        dp_run(parse_cotree("(C (U L0 L0))"), [1])
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        parse_cotree("(U L0 L2)"),
+        _from_arrays(bytearray([LEAF, LEAF, UNION]), array("i", [-1, 0])),
+    ],
+)
+def test_dp_run_rejects_labels_outside_the_weights(tree):
+    with pytest.raises(ValueError, match=r"must lie in 0 \.\. 1"):
+        dp_run(tree, [1, 1])

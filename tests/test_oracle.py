@@ -4,17 +4,10 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from ftmd import (
-    connected_components,
-    disjoint_union,
-    from_edges,
-    is_2nr,
-    is_fault_tolerant,
-    is_resolving,
-    oracle_min_2nr,
-    oracle_min_ft,
-    oracle_min_resolving,
-)
+from ftmd import from_edges, is_fault_tolerant, oracle_min_ft
+from ftmd.graph import connected_components, disjoint_union
+from ftmd.resolving import is_2nr, is_resolving
+from ftmd.oracle import oracle_min_2nr, oracle_min_resolving
 from strategies import cographs, component_with_forced_0_vertex, graphs
 
 K2 = from_edges(2, [(0, 1)])

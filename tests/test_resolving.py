@@ -3,24 +3,14 @@ from hypothesis import assume, given
 import hypothesis.strategies as st
 
 import ftmd.resolving
-from ftmd import (
-    bfs_distances,
-    complement,
-    disjoint_union,
-    from_edges,
-    h,
-    is_2nr,
-    is_fault_tolerant,
-    is_k_resolving,
-    is_resolving,
-    oracle_min_ft,
-    solve,
-    weak_pair,
-)
+from ftmd import from_edges, is_fault_tolerant, oracle_min_ft, solve, weak_pair
+from ftmd.graph import bfs_distances, disjoint_union
+from ftmd.resolving import h, is_2nr, is_k_resolving, is_resolving
 from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs,
     cographs_with_subset,
+    complement,
     component_with_forced_0_vertex,
     connected_cographs,
     graphs_with_subset,
@@ -115,7 +105,7 @@ def test_2nr_implies_fault_tolerant(gr):
 @given(cographs_with_subset())
 def test_ft_equals_2nr_on_connected_cographs(gr):
     g, r = gr
-    from ftmd import connected_components
+    from ftmd.graph import connected_components
 
     if len(connected_components(g)) == 1:
         assert is_fault_tolerant(g, r) == is_2nr(g, r)
@@ -131,7 +121,7 @@ def test_2nr_survives_complement(gr):
 @given(cographs_with_subset())
 def test_ft_of_connected_cograph_survives_complement(gr):
     g, r = gr
-    from ftmd import connected_components
+    from ftmd.graph import connected_components
 
     if len(connected_components(g)) == 1 and is_fault_tolerant(g, r):
         assert is_fault_tolerant(complement(g), r)
