@@ -28,7 +28,7 @@ from ftmd import (
     solve,
     union_node,
 )
-from ftmd.cotree import LEAF, UNION, _from_arrays, leaf_count
+from ftmd.cotree import LEAF, UNION, _from_arrays, flat, leaf_count
 from ftmd.resolving import is_2nr
 from ftmd.dp import entry_vertices, state_index, state_tuple
 from ftmd.oracle import oracle_min_2nr
@@ -445,6 +445,21 @@ def test_tables_match_reference_on_random_cotrees(weighting):
                 assert weights_of(table) == weights_of(ref_table)
             expected = reference_dp.extract_connected_min(ref_root)
             assert extract_connected_min(root) == expected
+
+
+def test_tables_match_reference_on_mirrored_unions():
+    # Equally cheap pairs from different left states need two sides with
+    # matching tables, which random cotrees of these sizes almost never
+    # have. A union of a tree and a relabelled copy of it has them, so the
+    # scan order decides which vertex sets are kept.
+    for tree in enumerate_cotrees(6):
+        n = leaf_count(tree)
+        kinds, labels = flat(tree)
+        copy = _from_arrays(bytearray(kinds), array("i", [v + n for v in labels]))
+        mirrored, ref = [], []
+        dp_run(union_node(tree, copy), [1] * (2 * n), mirrored)
+        reference_dp.dp_run(union_node(tree, copy), [1] * (2 * n), ref)
+        assert [sets_of(t) for _, t in mirrored] == [sets_of(t) for _, t in ref]
 
 
 def test_solve_picks_the_reference_set_on_ties():
