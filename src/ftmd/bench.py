@@ -8,15 +8,13 @@ the per-node work of the solver alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cotree import node_count, random_cotree
 from .dp import dp_run, extract_connected_min
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     exponent: int
     n: int
     nodes: int

@@ -16,7 +16,6 @@ import sys
 from collections import defaultdict
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
-from .bench import run_scaling
 from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
 from .dp import solve
@@ -140,36 +139,51 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
     listed = bytearray(n)
     with open(path, "r", encoding="ascii") as handle:
         try:
-            for line_no, fields in _records(handle):
+            for line_no, line in enumerate(handle, 1):
+                fields = line.split()
                 try:
                     v_text, w_text = fields
                     v = int(v_text)
-                    # Most weights are plain non-negative integers.
-                    w = int(w_text) if w_text.isdecimal() else _parse_number(w_text)
-                except ValueError:
-                    raise FileFormatError(
-                        path, line_no, "weight line must be 'v w'"
-                    ) from None
-                if not 0 <= v < n:
-                    raise FileFormatError(
-                        path, line_no, f"vertex {v} out of range for n={n}"
-                    )
-                if listed[v]:
-                    raise FileFormatError(path, line_no, f"vertex {v} listed twice")
-                if isinstance(w, float) and not math.isfinite(w):
-                    raise FileFormatError(
-                        path, line_no, f"non-finite weight for vertex {v}"
-                    )
-                if w < 0:
-                    raise FileFormatError(
-                        path, line_no, f"negative weight for vertex {v}"
-                    )
+                except ValueError:  # left to _checked_weight
+                    v = -1
+                # Most lines list a new vertex with a plain integer weight.
+                if 0 <= v < n and w_text.isdecimal() and not listed[v]:
+                    w = int(w_text)
+                else:
+                    checked = _checked_weight(path, line_no, fields, n, listed)
+                    if checked is None:
+                        continue
+                    v, w = checked
                 listed[v] = 1
                 weights[v] = w
         except FileFormatError:
             _finish_decoding(handle)
             raise
     return weights
+
+
+def _checked_weight(
+    path: str, line_no: int, fields: list[str], n: int, listed: bytearray
+) -> tuple[int, int | float | Fraction] | None:
+    """Vertex and weight of any line of a weight file; ``None`` for a blank
+    or comment line. Raises the first of its format errors."""
+    if not fields or fields[0][0] == "#":
+        return None
+    try:
+        v_text, w_text = fields
+        v = int(v_text)
+        w = int(w_text) if w_text.isdecimal() else _parse_number(w_text)
+    except ValueError:
+        raise FileFormatError(path, line_no, "weight line must be 'v w'") from None
+    if not 0 <= v < n:
+        raise FileFormatError(path, line_no, f"vertex {v} out of range for n={n}")
+    if listed[v]:
+        raise FileFormatError(path, line_no, f"vertex {v} listed twice")
+    if isinstance(w, float) and not math.isfinite(w):
+        raise FileFormatError(path, line_no, f"non-finite weight for vertex {v}")
+    if w < 0:
+        raise FileFormatError(path, line_no, f"negative weight for vertex {v}")
+    return v, w
 
 
 def format_weight(w: int | Fraction) -> str:
@@ -252,6 +266,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_scaling  # only this command needs it
+
     rows = run_scaling(range(10, args.max_exp + 1), args.seed, args.repeats)
     print("n nodes seconds")
     for row in rows:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
 from .graph import Graph
@@ -48,6 +48,8 @@ _WITNESS_SEARCH_LIMIT = 64
 _FALSE, _TRUE = 0, 1
 # Seed of the vertex codes, fixed so that merge order and witnesses repeat.
 _CODE_SEED = 0x5EED
+# Characters of cotree text tokenised at a time by ``parse_cotree``.
+_PARSE_SLICE = 1 << 16
 
 
 class EmptyGraphError(ValueError):
@@ -541,6 +543,20 @@ def format_cotree(t: Cotree) -> str:
     return " ".join(parts).replace(" )", ")")
 
 
+def _token_slices(text: str, size: int) -> Iterator[list[str]]:
+    """The tokens of ``text``, one list per slice of about ``size``
+    characters. Each slice ends just before a ``)``, which always starts a
+    token, so no token is cut and the lists chain into the tokens of the
+    whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find(")", start + size)
+        if end < 0:
+            end = len(text)
+        yield text[start:end].replace("(", " ( ").replace(")", " ) ").split()
+        start = end
+
+
 def parse_cotree(text: str) -> Cotree:
     """Parse the s-expression grammar; the result is normalized.
 
@@ -548,17 +564,17 @@ def parse_cotree(text: str) -> Cotree:
     closing union appends one, a closing complement flips the flag of the
     last finished subtree. Each open parenthesis records its operator and
     how many subtrees were finished before it, so a closing parenthesis
-    knows how many it received.
+    knows how many it received. The text is tokenised in slices of about
+    ``_PARSE_SLICE`` characters, so the token list of the whole text never
+    exists: the largest allocation besides the two arrays is one slice's
+    tokens.
     """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if not tokens:
-        raise ValueError("empty cotree text")
     kinds = bytearray()
     labels = array("i")
     ops: list[str] = []
     heights: list[int] = []
     done = 0  # finished subtrees not yet under a closed operator
-    it = iter(tokens)
+    it = chain.from_iterable(_token_slices(text, _PARSE_SLICE))
     for tok in it:
         if tok == "(":
             op = next(it, None)
@@ -596,4 +612,6 @@ def parse_cotree(text: str) -> Cotree:
             raise ValueError("multiple top-level cotree terms")
     if ops:
         raise ValueError("unbalanced '('")
+    if not kinds:  # a text with any token has a kind or an error by now
+        raise ValueError("empty cotree text")
     return _from_arrays(kinds, labels)

@@ -40,17 +40,26 @@ only by two chosen vertices. In the union:
     and both are dropped when the other side has ``s = 2``.
 
 Tables are flat. Every entry one ``dp_run`` creates lives in its
-``EntryPool``, three parallel arrays indexed by entry id: the entry's total
-weight and two back-pointers (the ids of the two side entries it combines,
-or the vertex of a chosen leaf). A ``Table`` is the tuple of a subtree's
-finite states in ascending order plus the tuple of their entry ids; at
-most six of the 16 states are ever finite. Which pairs of side states a
-union combines, and into which state, depends only on the two finite-state
-sets and on whether each side is a single leaf. Only 20 state sets are
-reachable, so these feasible pairs are worked out once per combination and
-memoised, and a union loops over them alone. A complement applies a
-memoised reversal to the ids. The solution is read off the cheapest root
-entry by following back-pointers.
+``EntryPool``, two parallel arrays of back-pointers indexed by entry id:
+the ids of the two side entries a union entry combines, or the vertex of a
+chosen leaf. Entry 0 is the empty set and entries 1 .. k are the tree's k
+leaves, left to right, filled in bulk from the leaf labels, so a leaf adds
+nothing to the pool. Weights are not pooled: each live table is one list
+``[shape, id, weight, id, weight, ...]`` that carries its entries' total
+weights, and a finished ``Table`` keeps them in ``weights`` beside the
+ascending tuple of its finite states and the tuple of their entry ids. At
+most six of the 16 states are ever finite.
+
+Which pairs of side states a union combines, and into which state, depends
+only on the two finite-state sets and on whether each side is a single
+leaf. A shape is a small integer id for one such set, with a single leaf's
+table as shape 0; 20 shapes are reachable, that one included. The plan of a union of two
+shapes (the union's shape, and per union state its candidate pairs in tie
+order) and the plan of a complement (the reversed shape and the reordering
+of the list) are worked out on first use and kept in lists indexed by
+shape id, so a node costs two list lookups and a loop over its candidates;
+a state with one candidate skips the comparison. The solution is read off
+the cheapest root entry by following back-pointers.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -61,9 +70,9 @@ are at least two of them, and a single isolated vertex never does.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from array import array
-from dataclasses import dataclass, field
-from functools import cache
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, flat
@@ -102,24 +111,6 @@ def _union_state(i: int, s1: int, j: int, s2: int) -> int:
     return state_index(a, b, c1 | c2, d1 | d2)
 
 
-def _union_rule(leaf1: bool, leaf2: bool) -> tuple[tuple[int, ...], ...]:
-    """``rule[i][j]`` for two sides that are (or are not) single leaves."""
-
-    def size(i: int, leaf: bool) -> int:
-        return (1 if i == _CHOSEN else 0) if leaf else 2
-
-    return tuple(
-        tuple(_union_state(i, size(i, leaf1), j, size(j, leaf2)) for j in range(16))
-        for i in range(16)
-    )
-
-
-# Indexed by whether the left side, then the right side, is a single leaf.
-_UNION_RULES = tuple(
-    tuple(_union_rule(leaf1, leaf2) for leaf2 in (False, True))
-    for leaf1 in (False, True)
-)
-
 # Ties between equally cheap pairs go to the first pair in this scan: the
 # left side's states with a 0-vertex first, then ascending indices on both
 # sides. This fixes which of several optimal sets is returned.
@@ -127,31 +118,33 @@ _LEFT_SCAN = tuple(range(8, 12)) + tuple(range(8))
 
 # Entry 0 of every pool is the empty set: only a single leaf's table holds
 # it, because every entry of a larger subtree chooses two or more vertices.
+# Entries 1 .. k are the k leaves of the tree, left to right, each chosen.
 _EMPTY = 0
 _LEAF_STATES = (_CHOSEN, _LEFT_OUT)
+_LEAF_SHAPE = 0
 
 
 class EntryPool(NamedTuple):
     """The entries of one ``dp_run``, indexed by entry id.
 
-    ``weight[e]`` is the total weight of entry ``e``. A union entry holds
-    the ids of one entry of each side in ``left[e]`` and ``right[e]``; a
-    chosen leaf holds its vertex in ``left[e]`` and -1 in ``right[e]``; the
-    empty set ``_EMPTY`` holds -1 in both.
+    A union entry holds the ids of one entry of each side in ``left[e]``
+    and ``right[e]``; a chosen leaf holds its vertex in ``left[e]`` and -1
+    in ``right[e]``; the empty set ``_EMPTY`` holds -1 in both. Weights are
+    not kept here: they travel with the tables that hold the entries.
     """
 
-    weight: list[Weight]
     left: array
     right: array
 
 
 class Table(NamedTuple):
     """A subtree's finite states in ascending order, the id of each state's
-    entry, and the pool that holds the entries."""
+    entry, the pool that holds the entries, and each entry's total weight."""
 
     states: tuple[int, ...]
     ids: tuple[int, ...]
     pool: EntryPool
+    weights: tuple[Weight, ...]
 
 
 class TableEntry(NamedTuple):
@@ -159,50 +152,113 @@ class TableEntry(NamedTuple):
 
     pool: EntryPool
     id: int
-
-    @property
-    def weight(self) -> Weight:
-        return self.pool.weight[self.id]
+    weight: Weight
 
 
-Plan = tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]
+# A shape is a table's finite-state set, with a single leaf's table apart:
+# shape ``_LEAF_SHAPE``. 19 more are reachable; each gets the next id when
+# it first occurs. The plans of a union of two shapes and of the
+# complement of a shape are filled in on first use, in lists indexed by
+# shape id; the lock only guards that growth.
+_shape_states: list[tuple[int, ...]] = [_LEAF_STATES]
+_shape_ids: dict[tuple[int, ...], int] = {}
+_union_plans: list[list[tuple | None]] = [[None]]
+_complement_plans: list[tuple | None] = [None]
+_plans_lock = allocate_lock()
 
 
-# Plans are pure functions of their arguments, memoised on first use. Only
-# 20 finite-state sets are reachable from leaf tables, so the caches hold at
-# most a few hundred entries.
-@cache
-def _union_plan(
-    states1: tuple[int, ...], leaf1: bool, states2: tuple[int, ...], leaf2: bool
-) -> Plan:
-    """The feasible pairs of two tables' finite states, grouped by the
-    union state they give.
+def _shape_of(states: tuple[int, ...]) -> int:
+    """The id of a larger subtree's finite-state set; call with the lock held."""
+    shape = _shape_ids.get(states)
+    if shape is None:
+        shape = _shape_ids[states] = len(_shape_states)
+        _shape_states.append(states)
+        for row in _union_plans:
+            row.append(None)
+        _union_plans.append([None] * (shape + 1))
+        _complement_plans.append(None)
+    return shape
 
-    Returns the union's finite states in ascending order and, for each, the
-    positions ``(p1, p2)`` of its candidate pairs in ``states1`` and
-    ``states2`` in ``_LEFT_SCAN`` order, so that the first of equally
-    cheap candidates wins.
+
+def _union_plan(shape1: int, shape2: int) -> tuple:
+    """The union of two shapes: its shape and, for each of its finite states
+    in ascending order, the candidate pairs that give it.
+
+    A live table is one list ``[shape, id, weight, id, weight, ...]`` in
+    the order of its states. A group of candidates is ``(x, y, rest)``:
+    the positions of the first pair's ids in the two lists, and the
+    remaining pairs' positions, in ``_LEFT_SCAN`` order, so that the first
+    of equally cheap candidates wins.
     """
-    rule = _UNION_RULES[leaf1][leaf2]
-    candidates: dict[int, list[tuple[int, int]]] = {}
-    for i in _LEFT_SCAN:
-        if i not in states1:
-            continue
-        p1 = states1.index(i)
-        for p2, j in enumerate(states2):
-            k = rule[i][j]
-            if k >= 0:
-                candidates.setdefault(k, []).append((p1, p2))
-    states = tuple(sorted(candidates))
-    return states, tuple(tuple(candidates[k]) for k in states)
+    plan = _union_plans[shape1][shape2]
+    if plan is not None:
+        return plan
+    with _plans_lock:
+        states1, states2 = _shape_states[shape1], _shape_states[shape2]
+        sizes1 = _size_classes(states1, shape1 == _LEAF_SHAPE)
+        sizes2 = _size_classes(states2, shape2 == _LEAF_SHAPE)
+        candidates: dict[int, list[tuple[int, int]]] = {}
+        for i in _LEFT_SCAN:
+            if i not in states1:
+                continue
+            p1 = states1.index(i)
+            for p2, j in enumerate(states2):
+                k = _union_state(i, sizes1[p1], j, sizes2[p2])
+                if k >= 0:
+                    candidates.setdefault(k, []).append((1 + 2 * p1, 1 + 2 * p2))
+        states = tuple(sorted(candidates))
+        groups = tuple((*candidates[k][0], tuple(candidates[k][1:])) for k in states)
+        plan = _union_plans[shape1][shape2] = (_shape_of(states), groups)
+    return plan
 
 
-@cache
-def _complement_plan(states: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The reversed states in ascending order and, for each, the position in
-    ``states`` of the state it came from."""
-    reversed_states = tuple(sorted(_REVERSED[i] for i in states))
-    return reversed_states, tuple(states.index(_REVERSED[k]) for k in reversed_states)
+def _size_classes(states: tuple[int, ...], leaf: bool) -> list[int]:
+    """``min(|R|, 2)`` for each state's set: a single leaf chooses itself or
+    nothing, and a larger subtree always chooses two or more."""
+    return [(1 if i == _CHOSEN else 0) if leaf else 2 for i in states]
+
+
+def _complement_plan(shape: int) -> tuple:
+    """The complement of a shape: its shape, and the positions in a live
+    table of the ids and weights in the order of the reversed states, or
+    ``None`` when that order is the table's own."""
+    plan = _complement_plans[shape]
+    if plan is not None:
+        return plan
+    with _plans_lock:
+        if shape == _LEAF_SHAPE:  # a leaf's two states read the same reversed
+            plan = (_LEAF_SHAPE, None)
+        else:
+            states = _shape_states[shape]
+            reversed_states = tuple(sorted(_REVERSED[i] for i in states))
+            order = [states.index(_REVERSED[k]) for k in reversed_states]
+            getter = None
+            if order != sorted(order):
+                getter = itemgetter(*(1 + 2 * p + d for p in order for d in (0, 1)))
+            plan = (_shape_of(reversed_states), getter)
+        _complement_plans[shape] = plan
+    return plan
+
+
+def _table(live: list, pool: EntryPool) -> Table:
+    return Table(_shape_states[live[0]], tuple(live[1::2]), pool, tuple(live[2::2]))
+
+
+def _check_labels(labels: array, n: int) -> None:
+    """Raise ``ValueError`` when leaf labels repeat or fall outside
+    ``range(n)``, a repeat first. Marks each label in an ``n``-byte array,
+    so no set of the labels is built."""
+    seen = bytearray(n)
+    try:
+        # Read as unsigned, a negative label is out of range as well.
+        for v in array("I", labels.tobytes()):
+            if seen[v]:
+                raise ValueError("cotree leaf labels repeat")
+            seen[v] = 1
+    except IndexError:
+        if len(set(labels)) < len(labels):
+            raise ValueError("cotree leaf labels repeat") from None
+        raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}") from None
 
 
 def dp_run(
@@ -212,80 +268,89 @@ def dp_run(
 ) -> Table:
     """Evaluate the dynamic program bottom-up over the cotree.
 
-    One pass over the tree's post-order kinds: a leaf adds one entry to the
-    pool, a union one per finite state of its table, a complement none.
-    When ``trace`` is a list, every node's table is appended to it in
-    post-order, with a view of the node. Raises ``ValueError`` when leaf
-    labels repeat or fall outside ``range(len(weights))``.
+    One pass over the tree's post-order kinds: a leaf pushes its live
+    table, a union adds one entry to the pool per finite state of its
+    table, a complement adds none. When ``trace`` is a list, every node's
+    table is appended to it in post-order, with a view of the node. Raises
+    ``ValueError`` when leaf labels repeat or fall outside
+    ``range(len(weights))``.
     """
     kinds, labels = flat(t)
-    if len(set(labels)) < len(labels):
-        raise ValueError("cotree leaf labels repeat")
-    if min(labels) < 0 or max(labels) >= len(weights):
-        raise ValueError(f"cotree leaf labels must lie in 0 .. {len(weights) - 1}")
-    pool = EntryPool([0], array("i", [-1]), array("i", [-1]))
-    weight, left, right = pool
+    _check_labels(labels, len(weights))
+    left = array("i", [-1])
+    left += labels
+    right = array("i", [-1]) * len(left)
+    pool = EntryPool(left, right)
+    add_left, add_right = left.append, right.append
+    union_plans, complement_plans = _union_plans, _complement_plans
+    leaf_weights = map(weights.__getitem__, labels)
     nodes = None if trace is None else iter_nodes(t)
-    values: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    leaf = 0
+    stack: list[list] = []
+    push, pop = stack.append, stack.pop
+    leaf = _EMPTY  # the last leaf entry
+    entry = len(left)  # the next union entry
     for kind in kinds:
         if kind & UNION:
-            states2, ids2 = values.pop()
-            states1, ids1 = values.pop()
-            states, groups = _union_plan(states1, _EMPTY in ids1, states2, _EMPTY in ids2)
-            ids = []
-            for group in groups:
-                best = None
-                for p1, p2 in group:
-                    e1 = ids1[p1]
-                    e2 = ids2[p2]
-                    w = weight[e1] + weight[e2]
-                    if best is None or w < best:
-                        best, l, r = w, e1, e2
-                ids.append(len(weight))
-                weight.append(best)
-                left.append(l)
-                right.append(r)
-            value = (states, tuple(ids))
+            t2 = pop()
+            t1 = pop()
+            plan = union_plans[t1[0]][t2[0]] or _union_plan(t1[0], t2[0])
+            live = [plan[0]]
+            for x, y, rest in plan[1]:
+                best = t1[x + 1] + t2[y + 1]
+                e1 = t1[x]
+                e2 = t2[y]
+                for x, y in rest:
+                    w = t1[x + 1] + t2[y + 1]
+                    if w < best:
+                        best = w
+                        e1 = t1[x]
+                        e2 = t2[y]
+                add_left(e1)
+                add_right(e2)
+                live += (entry, best)
+                entry += 1
         else:
-            v = labels[leaf]
             leaf += 1
-            value = (_LEAF_STATES, (len(weight), _EMPTY))
-            weight.append(weights[v])
-            left.append(v)
-            right.append(-1)
+            live = [_LEAF_SHAPE, leaf, next(leaf_weights), _EMPTY, 0]
         if nodes is not None:
-            trace.append((next(nodes), Table(*value, pool)))
+            trace.append((next(nodes), _table(live, pool)))
         if kind & COMPLEMENTED:
-            states, ids = value
-            states, order = _complement_plan(states)
-            value = (states, tuple([ids[p] for p in order]))
+            shape, getter = complement_plans[live[0]] or _complement_plan(live[0])
+            if getter is None:
+                live[0] = shape
+            else:
+                live = [shape, *getter(live)]
             if nodes is not None:
-                trace.append((next(nodes), Table(*value, pool)))
-        values.append(value)
-    return Table(*values[0], pool)
+                trace.append((next(nodes), _table(live, pool)))
+        push(live)
+    return _table(stack[0], pool)
 
 
 def entry_vertices(entry: TableEntry) -> frozenset[int]:
     """Materialize the vertex set behind an entry by following its
-    back-pointers; linear in the output."""
+    back-pointers; linear in the output. Leaf entries are read where they
+    are met, never pushed."""
     left, right = entry.pool.left, entry.pool.right
+    e = entry.id
+    if right[e] < 0:  # a chosen leaf or the empty set
+        return frozenset([left[e]] if e != _EMPTY else [])
     out: list[int] = []
-    stack = [entry.id]
+    stack = [e]
     while stack:
         e = stack.pop()
-        if right[e] >= 0:
-            stack.append(left[e])
-            stack.append(right[e])
-        elif left[e] >= 0:
-            out.append(left[e])
+        for side in (left[e], right[e]):
+            if right[side] >= 0:
+                stack.append(side)
+            elif side != _EMPTY:
+                out.append(left[side])
     return frozenset(out)
 
 
 def finite_states(table: Table) -> dict[tuple[int, int, int, int], TableEntry]:
     """Finite table entries keyed by their flag tuple (for tests and display)."""
     return {
-        state_tuple(i): TableEntry(table.pool, e) for i, e in zip(table.states, table.ids)
+        state_tuple(i): TableEntry(table.pool, e, w)
+        for i, e, w in zip(table.states, table.ids, table.weights)
     }
 
 
@@ -294,18 +359,16 @@ def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
 
     Ties go to the lexicographically smallest flag tuple.
     """
-    weight = table.pool.weight
     best = -1
-    for e in table.ids:
-        if best < 0 or weight[e] < weight[best]:
-            best = e
+    for e, w in zip(table.ids, table.weights):
+        if best < 0 or w < weight:
+            best, weight = e, w
     if best < 0:
         raise RuntimeError("state table has no feasible entry")
-    return weight[best], entry_vertices(TableEntry(table.pool, best))
+    return weight, entry_vertices(TableEntry(table.pool, best, weight))
 
 
-@dataclass(frozen=True)
-class ComponentOutcome:
+class ComponentOutcome(NamedTuple):
     """How one connected component contributed to the solution.
 
     ``kind`` is ``"solved"`` for components handled by the dynamic program,
@@ -319,15 +382,20 @@ class ComponentOutcome:
     kind: str
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Total weight, chosen vertex set, the per-component breakdown and the
-    cotree of the whole graph that the solver ran on."""
+    cotree of the whole graph that the solver ran on (left out of ``repr``)."""
 
     weight: Weight
     vertices: tuple[int, ...]
     components: tuple[ComponentOutcome, ...]
-    tree: Cotree = field(repr=False)
+    tree: Cotree
+
+    def __repr__(self) -> str:
+        return (
+            f"Solution(weight={self.weight!r}, vertices={self.vertices!r}, "
+            f"components={self.components!r})"
+        )
 
     def verify(self, g: Graph) -> bool:
         """Re-check the certificate: the chosen set is fault-tolerant for ``g``.

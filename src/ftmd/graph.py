@@ -10,36 +10,44 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Weight = int | float
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices ``0 .. n-1``.
-
-    ``adj[v]`` is the open neighbourhood of ``v``. The constructor rejects
-    self-loops, out-of-range ids and asymmetric adjacency.
-    """
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[frozenset[int], ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+
+class Graph(_GraphFields):
+    """Simple undirected graph on vertices ``0 .. n-1``.
+
+    ``adj[v]`` is the open neighbourhood of ``v``. The constructor rejects
+    self-loops, out-of-range ids and asymmetric adjacency; ``_replace`` and
+    ``_make`` go through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: tuple[frozenset[int], ...]) -> Graph:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        for u, nbrs in enumerate(self.adj):
+        for u, nbrs in enumerate(adj):
             if u in nbrs:
                 raise ValueError(f"self-loop at vertex {u}")
             for v in nbrs:
-                if not 0 <= v < self.n:
+                if not 0 <= v < n:
                     raise ValueError(f"neighbour {v} of {u} out of range")
-                if u not in self.adj[v]:
+                if u not in adj[v]:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        return tuple.__new__(cls, (n, adj))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> Graph:
+        return cls(*iterable)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
@@ -49,8 +57,7 @@ class Graph:
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
 
-@dataclass(frozen=True)
-class DistanceRow:
+class DistanceRow(NamedTuple):
     """Shortest-path distances from ``source``; ``None`` marks unreachable."""
 
     source: int

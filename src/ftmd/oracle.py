@@ -9,16 +9,14 @@ lexicographically smallest optimal set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import Graph, Weight, bfs_distances, check_weights
 
 MAX_VERTICES = 20
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Best weight, the lexicographically smallest witness, and how many
     subsets attain the best weight."""
 

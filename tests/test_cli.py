@@ -1,7 +1,12 @@
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import ftmd
 
 from ftmd import parse_cotree, realize, from_edges
 from ftmd.cli import format_weight, main
@@ -95,7 +100,7 @@ def test_solve_verify_names_the_failing_pair(capsys, monkeypatch, p3_file):
     original = ftmd.cli.solve
 
     def wrong(g, weights=None):
-        return replace(original(g, weights), vertices=(0, 1))
+        return original(g, weights)._replace(vertices=(0, 1))
 
     monkeypatch.setattr(ftmd.cli, "solve", wrong)
     code, out, err = run(capsys, ["solve", p3_file, "--verify"])
@@ -255,6 +260,53 @@ def test_weight_file_error_line_numbers(capsys, tmp_path, k2_file, body, message
     weights = write_bytes(tmp_path, "w.txt", body.encode())
     code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
     assert (code, err) == (1, f"error: {weights}:{message}\n")
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        # Format, range, repeat, non-finite, negative: the first rule broken
+        # is the one reported.
+        ("5 x\n", "1: weight line must be 'v w'"),
+        ("0 1\n0 x\n", "2: weight line must be 'v w'"),
+        ("0 1 2\n", "1: weight line must be 'v w'"),
+        ("5 -1\n", "1: vertex 5 out of range for n=2"),
+        ("-1 nan\n", "1: vertex -1 out of range for n=2"),
+        ("0 1\n0 -1\n", "2: vertex 0 listed twice"),
+        ("1 2\n1 inf\n", "2: vertex 1 listed twice"),
+        ("0 -inf\n", "1: non-finite weight for vertex 0"),
+        ("+1 -0.5\n", "1: negative weight for vertex 1"),
+    ],
+)
+def test_weight_line_breaking_two_rules_reports_the_first(
+    capsys, tmp_path, k2_file, body, message
+):
+    weights = write(tmp_path, "w.txt", body)
+    code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
+    assert (code, err) == (1, f"error: {weights}:{message}\n")
+
+
+def test_weight_lines_off_the_common_path_are_read(capsys, tmp_path, p3_file):
+    weights = write(tmp_path, "w.txt", "#0 9\n+0 2.5\n 1 007\n2 0\n")
+    code, out, _ = run(capsys, ["solve", p3_file, "--weights", weights])
+    assert (code, out) == (0, "2.5\n0 2\n")
+
+
+def test_cli_import_skips_dataclasses_and_bench():
+    # -S keeps site hooks from importing either module first.
+    src = Path(ftmd.__file__).resolve().parent.parent
+    code = (
+        "import sys; import ftmd.cli; "
+        "print(sorted({'dataclasses', 'ftmd.bench'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file):

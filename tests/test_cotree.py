@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -35,6 +36,7 @@ from ftmd.cotree import (
     node_count,
     root_components,
 )
+import ftmd.cotree as cotree_module
 from strategies import cotrees, is_normalized, relabel
 import reference_cotree
 
@@ -320,6 +322,59 @@ def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError) as exc:
         parse_cotree(text)
     assert str(exc.value) == PARSE_ERRORS[text]
+
+
+def _parse_outcome(text):
+    """The tree ``parse_cotree`` returns, or the message it raises."""
+    try:
+        return parse_cotree(text)
+    except ValueError as err:
+        return str(err)
+
+
+def _outcomes_by_slice_size(monkeypatch, texts):
+    """Outcomes for each text unsliced, then with each slice size 1 .. 8."""
+    runs = [[_parse_outcome(text) for text in texts]]
+    for size in range(1, 9):
+        monkeypatch.setattr(cotree_module, "_PARSE_SLICE", size)
+        runs.append([_parse_outcome(text) for text in texts])
+    return runs
+
+
+def test_sliced_parse_gives_the_unsliced_trees(monkeypatch):
+    rng = random.Random(41)
+    texts = []
+    for i in range(60):
+        tree = random_cotree(rng.randint(1, 80), rng.randrange(2**31))
+        text = format_cotree(complement_node(tree) if i % 2 else tree)
+        # Spacing the serializer never writes, around every parenthesis.
+        texts.append(text if i % 3 else text.replace(" ", "\n  ").replace(")", " )"))
+    unsliced, *sliced = _outcomes_by_slice_size(monkeypatch, texts)
+    assert all(not isinstance(t, str) for t in unsliced)
+    for outcomes in sliced:
+        assert outcomes == unsliced
+
+
+def test_sliced_parse_raises_the_unsliced_messages(monkeypatch):
+    rng = random.Random(43)
+    pieces = ["(", ")", "(U", "(C", "U", "C", "L", "L1", "L23", "x", " ", " ", "\t"]
+    texts = list(PARSE_ERRORS)
+    texts += ["".join(rng.choices(pieces, k=rng.randint(0, 14))) for _ in range(3000)]
+    unsliced, *sliced = _outcomes_by_slice_size(monkeypatch, texts)
+    assert unsliced[: len(PARSE_ERRORS)] == list(PARSE_ERRORS.values())
+    for outcomes in sliced:
+        assert outcomes == unsliced
+
+
+def test_parse_peak_memory_stays_below_twice_the_text():
+    text = format_cotree(random_cotree(2**16, 5))
+    tracemalloc.start()
+    try:
+        parse_cotree(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
 
 
 def test_repr_evals_back_to_the_tree():

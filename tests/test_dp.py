@@ -2,7 +2,6 @@ from array import array
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -401,7 +400,7 @@ def test_verify_random_cograph_with_2048_vertices_in_seconds():
     start = time.perf_counter()
     assert solution.verify(g)
     # Unit weights make the set minimum in size, so no vertex can go.
-    assert not replace(solution, vertices=solution.vertices[1:]).verify(g)
+    assert not solution._replace(vertices=solution.vertices[1:]).verify(g)
     assert time.perf_counter() - start < 10
 
 
@@ -490,6 +489,12 @@ def test_left_scan_order_picks_the_returned_optimum():
 def test_dp_run_rejects_repeated_labels():
     with pytest.raises(ValueError, match="repeat"):
         dp_run(parse_cotree("(C (U L0 L0))"), [1])
+
+
+def test_dp_run_reports_a_repeat_before_a_label_out_of_range():
+    for text in ("(U (U L5 L0) L0)", "(U (U L0 L0) L5)"):
+        with pytest.raises(ValueError, match="repeat"):
+            dp_run(parse_cotree(text), [1])
 
 
 @pytest.mark.parametrize(
