@@ -144,8 +144,8 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
                 try:
                     v_text, w_text = fields
                     v = int(v_text)
-                except ValueError:  # left to _checked_weight
-                    v = -1
+                except ValueError:  # blank, comment or malformed: checked below
+                    v = -1  # fails the range test before w_text is read
                 # Most lines list a new vertex with a plain integer weight.
                 if 0 <= v < n and w_text.isdecimal() and not listed[v]:
                     w = int(w_text)

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import ftmd
-
 from ftmd import parse_cotree, realize, from_edges
 from ftmd.cli import format_weight, main
 
@@ -254,19 +253,8 @@ def test_edge_list_error_line_numbers(capsys, tmp_path, body, message):
         ("# c\n\n0 x\n", "3: weight line must be 'v w'"),
         ("0 1\n  # c\n\n0 2\n", "4: vertex 0 listed twice"),
         ("\r\n1 -2\r\n", "2: negative weight for vertex 1"),
-    ],
-)
-def test_weight_file_error_line_numbers(capsys, tmp_path, k2_file, body, message):
-    weights = write_bytes(tmp_path, "w.txt", body.encode())
-    code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
-    assert (code, err) == (1, f"error: {weights}:{message}\n")
-
-
-@pytest.mark.parametrize(
-    "body,message",
-    [
-        # Format, range, repeat, non-finite, negative: the first rule broken
-        # is the one reported.
+        # A line breaking several rules reports the first of format, range,
+        # repeat, non-finite and negative.
         ("5 x\n", "1: weight line must be 'v w'"),
         ("0 1\n0 x\n", "2: weight line must be 'v w'"),
         ("0 1 2\n", "1: weight line must be 'v w'"),
@@ -278,10 +266,8 @@ def test_weight_file_error_line_numbers(capsys, tmp_path, k2_file, body, message
         ("+1 -0.5\n", "1: negative weight for vertex 1"),
     ],
 )
-def test_weight_line_breaking_two_rules_reports_the_first(
-    capsys, tmp_path, k2_file, body, message
-):
-    weights = write(tmp_path, "w.txt", body)
+def test_weight_file_error_line_numbers(capsys, tmp_path, k2_file, body, message):
+    weights = write_bytes(tmp_path, "w.txt", body.encode())
     code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
     assert (code, err) == (1, f"error: {weights}:{message}\n")
 

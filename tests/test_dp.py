@@ -325,6 +325,13 @@ def test_solve_keeps_the_cotree_of_the_whole_graph():
     assert [o.vertices for o in solution.components] == [(0, 1), (2, 3), (4,)]
 
 
+def test_solution_repr_leaves_out_the_tree():
+    assert repr(solve(from_edges(2, [(0, 1)]))) == (
+        "Solution(weight=2, vertices=(0, 1), components=(ComponentOutcome("
+        "vertices=(0, 1), chosen=(0, 1), weight=2, kind='solved'),))"
+    )
+
+
 def test_solve_single_vertex():
     solution = solve(from_edges(1, []))
     assert solution.weight == 0
@@ -487,12 +494,8 @@ def test_left_scan_order_picks_the_returned_optimum():
 
 
 def test_dp_run_rejects_repeated_labels():
-    with pytest.raises(ValueError, match="repeat"):
-        dp_run(parse_cotree("(C (U L0 L0))"), [1])
-
-
-def test_dp_run_reports_a_repeat_before_a_label_out_of_range():
-    for text in ("(U (U L5 L0) L0)", "(U (U L0 L0) L5)"):
+    # A repeat is reported before a label outside the weights.
+    for text in ("(C (U L0 L0))", "(U (U L5 L0) L0)", "(U (U L0 L0) L5)"):
         with pytest.raises(ValueError, match="repeat"):
             dp_run(parse_cotree(text), [1])
 

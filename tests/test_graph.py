@@ -23,6 +23,18 @@ def test_constructor_rejects_out_of_range():
         Graph(2, (frozenset({5}), frozenset()))
 
 
+def test_graph_is_immutable_and_copies_are_validated():
+    g = from_edges(2, [(0, 1)])
+    with pytest.raises(AttributeError):
+        g.n = 3
+    assert g == from_edges(2, [(0, 1)]) and hash(g) == hash(from_edges(2, [(0, 1)]))
+    assert g._replace(adj=(frozenset(), frozenset())) == from_edges(2, [])
+    with pytest.raises(ValueError):
+        g._replace(adj=(frozenset({1}), frozenset()))
+    with pytest.raises(ValueError):
+        Graph._make((3, g.adj))
+
+
 def test_from_edges_rejects_loops_and_range():
     with pytest.raises(ValueError):
         from_edges(3, [(1, 1)])
