@@ -188,11 +188,9 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
     the order of its states. A group of candidates is ``(x, y, rest)``:
     the positions of the first pair's ids in the two lists, and the
     remaining pairs' positions, in ``_LEFT_SCAN`` order, so that the first
-    of equally cheap candidates wins.
+    of equally cheap candidates wins. Filling a plan twice gives the same
+    plan.
     """
-    plan = _union_plans[shape1][shape2]
-    if plan is not None:
-        return plan
     with _plans_lock:
         states1, states2 = _shape_states[shape1], _shape_states[shape2]
         sizes1 = _size_classes(states1, shape1 == _LEAF_SHAPE)
@@ -222,9 +220,6 @@ def _complement_plan(shape: int) -> tuple:
     """The complement of a shape: its shape, and the positions in a live
     table of the ids and weights in the order of the reversed states, or
     ``None`` when that order is the table's own."""
-    plan = _complement_plans[shape]
-    if plan is not None:
-        return plan
     with _plans_lock:
         if shape == _LEAF_SHAPE:  # a leaf's two states read the same reversed
             plan = (_LEAF_SHAPE, None)
