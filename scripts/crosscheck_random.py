@@ -1,20 +1,39 @@
 #!/usr/bin/env python3
-"""Fuzz the solver against the brute-force oracle on random weighted cographs."""
+"""Fuzz the solver against the brute-force oracle on random weighted cographs.
+
+Each trial also flips one random vertex pair of the cograph; when
+``build_cotree`` rejects the result, its witness must be an induced P4.
+"""
 
 import argparse
 import random
 import sys
 
-from ftmd import is_fault_tolerant, oracle_min_ft, random_cotree, realize, solve
+from ftmd import (
+    NotCographError,
+    build_cotree,
+    from_edges,
+    is_fault_tolerant,
+    oracle_min_ft,
+    random_cotree,
+    realize,
+    solve,
+)
 
 
-def main():
+def is_induced_p4(g, witness):
+    a, b, c, d = witness
+    path = b in g.adj[a] and c in g.adj[b] and d in g.adj[c]
+    return path and not (c in g.adj[a] or d in g.adj[a] or d in g.adj[b])
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--max-n", type=int, default=12)
     parser.add_argument("--max-weight", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rng = random.Random(args.seed)
     mismatches = 0
@@ -31,6 +50,17 @@ def main():
             print(f"MISMATCH trial={trial} n={n} edges={g.edges()} "
                   f"weights={weights} solver={solution.weight} "
                   f"oracle={reference.weight} cert_ok={not bad_cert}")
+        if n < 2:
+            continue
+        u, v = sorted(rng.sample(range(n), 2))
+        flipped = from_edges(n, set(g.edges()) ^ {(u, v)})
+        try:
+            build_cotree(flipped)
+        except NotCographError as exc:
+            if exc.witness is None or not is_induced_p4(flipped, exc.witness):
+                mismatches += 1
+                print(f"BAD WITNESS trial={trial} n={n} edges={flipped.edges()} "
+                      f"witness={exc.witness}")
     print(f"{args.count} instances, {mismatches} mismatches")
     return 1 if mismatches else 0
 

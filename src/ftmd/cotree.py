@@ -20,8 +20,8 @@ it. New trees come from ``Leaf(v)``, ``union_node`` and
 with equal open or closed neighbourhoods until one is left, in O(n + m)
 expected time, and rewrites the merges into one canonical tree. ``realize``
 goes the other way in O(n + m), reading adjacency off the complement parity
-above each union node. ``find_induced_p4`` is the brute-force
-non-cograph certificate.
+above each union node. ``check_labels`` checks that a tree's leaf labels
+are distinct and below a bound, at most once per tree and bound.
 
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
@@ -33,17 +33,13 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterator
 
 from .graph import Graph
 
 # Node kinds in the ``kinds`` array; COMPLEMENTED is a flag on either.
 LEAF, UNION, COMPLEMENTED = 0, 1, 2
-# A rejected graph leaves a twin-free remainder; up to this many vertices,
-# enumerating its 4-subsets for an induced path takes at most a few seconds.
-# Beyond it the error is raised without a witness.
-_WITNESS_SEARCH_LIMIT = 64
 # Twin kinds: false twins share N(v), true twins share N[v].
 _FALSE, _TRUE = 0, 1
 # Seed of the vertex codes, fixed so that merge order and witnesses repeat.
@@ -59,8 +55,9 @@ class EmptyGraphError(ValueError):
 class NotCographError(Exception):
     """The input graph admits no union/complement decomposition.
 
-    ``witness`` is an induced 4-vertex path in original vertex ids when one
-    was extracted, else ``None``.
+    ``witness`` is an induced 4-vertex path in original vertex ids, in path
+    order. ``build_cotree`` always gives one; ``None`` is left for callers
+    that reject a graph without finding one.
     """
 
     def __init__(self, witness: tuple[int, int, int, int] | None = None):
@@ -72,10 +69,12 @@ class NotCographError(Exception):
 
 
 class _Arrays:
-    """One tree's two arrays."""
+    """One tree's two arrays, and the bound ``check_labels`` last passed
+    all of its labels for (-1 before that)."""
 
     def __init__(self, kinds: bytearray, labels: array):
         self.kinds, self.labels = kinds, labels
+        self.labels_below = -1
 
     @cached_property
     def sizes(self) -> array:
@@ -252,6 +251,37 @@ def root_components(t: Cotree) -> list[Cotree]:
     return out
 
 
+def check_labels(t: Cotree, n: int) -> None:
+    """Raise ``ValueError`` when ``t``'s leaf labels repeat or fall outside
+    ``range(n)``, a repeat first.
+
+    One pass marks the labels of the whole tree that ``t`` is a view of in
+    an ``n``-byte array, and a pass is recorded on the tree: checking any
+    view of it again for the same ``n`` costs O(1). Only when another part
+    of the tree fails are ``t``'s own labels checked alone.
+    """
+    tree = t._tree
+    if tree.labels_below == n:
+        return
+    seen = bytearray(n)
+    try:
+        # Read as unsigned, a negative label is out of range as well.
+        for v in array("I", tree.labels.tobytes()):
+            if seen[v]:
+                break
+            seen[v] = 1
+        else:
+            tree.labels_below = n
+            return
+    except IndexError:
+        pass
+    if t._leaves < len(tree.labels):
+        return check_labels(_from_arrays(*flat(t)), n)
+    if len(set(tree.labels)) < len(tree.labels):
+        raise ValueError("cotree leaf labels repeat")
+    raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
+
+
 def realize(t: Cotree) -> Graph:
     """Graph described by the cotree.
 
@@ -265,11 +295,10 @@ def realize(t: Cotree) -> Graph:
     contiguous slice of ``leaf_labels(t)``, so each such union node joins its
     two slices in bulk; the cost is O(n + m).
     """
+    n = t._leaves
+    check_labels(t, n)
     kinds, labels = flat(t)
     labels = labels.tolist()
-    n = len(labels)
-    if sorted(labels) != list(range(n)):
-        raise ValueError("cotree leaves must be labelled 0 .. n-1 exactly once")
     sizes = _leaf_counts(kinds)
     adj: list[set[int]] = [set() for _ in range(n)]
     # (node, index of its first leaf in labels, complement parity above it)
@@ -289,26 +318,6 @@ def realize(t: Cotree) -> Graph:
                     adj[v].update(left_part)
             stack += ((pos - 2 * right, start, odd), (pos - 1, mid, odd))
     return Graph(n, tuple(map(frozenset, adj)))
-
-
-def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
-    """Brute-force search for an induced 4-vertex path, in path order."""
-    for quad in combinations(range(g.n), 4):
-        quad_set = frozenset(quad)
-        degs = {v: len(g.adj[v] & quad_set) for v in quad}
-        if sorted(degs.values()) != [1, 1, 2, 2]:
-            continue
-        # Degree multiset (1,1,2,2) on four vertices forces a path.
-        start = next(v for v in quad if degs[v] == 1)
-        path = [start]
-        prev = None
-        while len(path) < 4:
-            cur = path[-1]
-            nxt = next(x for x in g.adj[cur] & quad_set if x != prev)
-            prev = cur
-            path.append(nxt)
-        return tuple(path)
-    return None
 
 
 def build_cotree(g: Graph) -> Cotree:
@@ -336,8 +345,8 @@ def build_cotree(g: Graph) -> Cotree:
 
     A graph is rejected when no twins are left among two or more live
     vertices. Those vertices induce a graph with no twins, which contains an
-    induced 4-vertex path; while there are at most ``_WITNESS_SEARCH_LIMIT``
-    of them, ``NotCographError.witness`` is one such path in original ids.
+    induced 4-vertex path; ``_middle_edge_p4`` finds one, and
+    ``NotCographError.witness`` holds it in original ids.
     """
     n = g.n
     if n == 0:
@@ -367,17 +376,7 @@ def build_cotree(g: Graph) -> Cotree:
         return open_sum[v] + code[v] if kind == _TRUE else open_sum[v]
 
     def twins(kind: int, a: int, b: int) -> bool:
-        if kind == _FALSE:
-            return adj[a] == adj[b]
-        if b not in adj[a]:
-            return False
-        adj[a].discard(b)
-        adj[b].discard(a)
-        if adj[a] == adj[b]:
-            return True
-        adj[a].add(b)
-        adj[b].add(a)
-        return False
+        return adj[a] == adj[b] if kind == _FALSE else adj[a] ^ adj[b] == {a, b}
 
     while todo:
         kind, k = todo.pop()
@@ -417,18 +416,29 @@ def build_cotree(g: Graph) -> Cotree:
 
     remaining = [v for v in range(n) if live[v]]
     if len(remaining) > 1:
-        witness = None
-        if len(remaining) <= _WITNESS_SEARCH_LIMIT:
-            # adj now holds the subgraph induced by the remaining vertices;
-            # it has no twins, so it is no cograph and has an induced P4.
-            local = {v: i for i, v in enumerate(remaining)}
-            sub = Graph(
-                len(remaining),
-                tuple(frozenset(map(local.__getitem__, adj[v])) for v in remaining),
-            )
-            witness = tuple(remaining[i] for i in find_induced_p4(sub))
-        raise NotCographError(witness)
+        # adj now holds the subgraph induced by the remaining vertices.
+        raise NotCographError(_middle_edge_p4(adj, remaining))
     return _canonical_tree(n, merges, top[remaining[0]])
+
+
+def _middle_edge_p4(adj: list[set[int]], vertices: list[int]) -> tuple[int, int, int, int]:
+    """An induced path a-b-c-d of the twin-free graph ``adj`` on ``vertices``.
+
+    For an edge b-c, a can be any vertex of A = N(b) - N[c] and d any of
+    D = N(c) - N[b]; a path is induced when d is not adjacent to a. Every
+    induced 4-vertex path has such a middle edge, and a twin-free graph on
+    two or more vertices is no cograph, so it has one: the search is
+    complete.
+    """
+    for b in vertices:
+        for c in adj[b]:
+            a_side = adj[b] - adj[c] - {c}
+            if a_side:
+                d_side = adj[c] - adj[b] - {b}
+                for a in a_side:
+                    if not d_side <= adj[a]:
+                        return a, b, c, min(d_side - adj[a])
+    raise RuntimeError("a twin-free graph with two or more vertices has an induced P4")
 
 
 def _canonical_tree(n: int, merges: list[tuple[int, list[int]]], root: int) -> Cotree:

@@ -75,7 +75,7 @@ from array import array
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, flat
+from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, check_labels, flat
 from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import weak_pair
@@ -239,23 +239,6 @@ def _table(live: list, pool: EntryPool) -> Table:
     return Table(_shape_states[live[0]], tuple(live[1::2]), pool, tuple(live[2::2]))
 
 
-def _check_labels(labels: array, n: int) -> None:
-    """Raise ``ValueError`` when leaf labels repeat or fall outside
-    ``range(n)``, a repeat first. Marks each label in an ``n``-byte array,
-    so no set of the labels is built."""
-    seen = bytearray(n)
-    try:
-        # Read as unsigned, a negative label is out of range as well.
-        for v in array("I", labels.tobytes()):
-            if seen[v]:
-                raise ValueError("cotree leaf labels repeat")
-            seen[v] = 1
-    except IndexError:
-        if len(set(labels)) < len(labels):
-            raise ValueError("cotree leaf labels repeat") from None
-        raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}") from None
-
-
 def dp_run(
     t: Cotree,
     weights: Sequence[Weight],
@@ -270,8 +253,8 @@ def dp_run(
     ``ValueError`` when leaf labels repeat or fall outside
     ``range(len(weights))``.
     """
+    check_labels(t, len(weights))
     kinds, labels = flat(t)
-    _check_labels(labels, len(weights))
     left = array("i", [-1])
     left += labels
     right = array("i", [-1]) * len(left)

@@ -123,9 +123,9 @@ def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
     ``first_unresolved_pair(g, r, 2)``, so the result is exact on any graph.
     """
     members = frozenset(r)
-    chosen = _mask(members)
-    if chosen >> g.n:
+    if members and not 0 <= min(members) <= max(members) < g.n:
         raise ValueError(f"chosen vertex out of range for n={g.n}")
+    chosen = _mask(members)
     components = connected_components(g)
     if len(components) > 1:
         load = sorted((len(c & members), min(c)) for c in components)

@@ -4,8 +4,11 @@
 connected one and splits that, building induced subgraphs at every level;
 ``realize`` builds a graph per cotree node. Both cost about n^3.2 on deep
 cotrees, so ``ftmd.cotree`` replaced them; tests check that the old and the
-new functions return the same trees and graphs.
+new functions return the same trees and graphs. ``find_induced_p4`` is the
+brute-force non-cograph certificate that recognition is checked against.
 """
+
+from itertools import combinations
 
 from ftmd.cotree import (
     Complement,
@@ -14,7 +17,6 @@ from ftmd.cotree import (
     Leaf,
     NotCographError,
     complement_node,
-    find_induced_p4,
     iter_nodes,
     union_node,
 )
@@ -24,6 +26,26 @@ from strategies import complement, induced_subgraph
 # Witness extraction enumerates 4-subsets of the failing subgraph; beyond
 # this size the error is raised without a witness.
 _WITNESS_SEARCH_LIMIT = 64
+
+
+def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
+    """Brute-force search for an induced 4-vertex path, in path order."""
+    for quad in combinations(range(g.n), 4):
+        quad_set = frozenset(quad)
+        degs = {v: len(g.adj[v] & quad_set) for v in quad}
+        if sorted(degs.values()) != [1, 1, 2, 2]:
+            continue
+        # Degree multiset (1,1,2,2) on four vertices forces a path.
+        start = next(v for v in quad if degs[v] == 1)
+        path = [start]
+        prev = None
+        while len(path) < 4:
+            cur = path[-1]
+            nxt = next(x for x in g.adj[cur] & quad_set if x != prev)
+            prev = cur
+            path.append(nxt)
+        return tuple(path)
+    return None
 
 
 def build_cotree(g: Graph) -> Cotree:

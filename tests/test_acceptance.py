@@ -21,10 +21,11 @@ from ftmd import (
     solve,
 )
 from ftmd.graph import connected_components, disjoint_union
-from ftmd.cotree import find_induced_p4, leaf_count, leaf_labels
+from ftmd.cotree import leaf_count, leaf_labels
 from ftmd.resolving import is_2nr
 from ftmd.dp import entry_vertices
 from ftmd.bench import doubling_ratios, run_scaling
+from reference_cotree import find_induced_p4
 from signatures import k_vertex_profile, state_signature
 from strategies import complement, enumerate_cotrees, graph_key, relabel
 

@@ -29,7 +29,6 @@ from ftmd import (
     union_node,
 )
 from ftmd.cotree import (
-    find_induced_p4,
     iter_nodes,
     leaf_count,
     leaf_labels,
@@ -39,6 +38,7 @@ from ftmd.cotree import (
 import ftmd.cotree as cotree_module
 from strategies import cotrees, is_normalized, relabel
 import reference_cotree
+from reference_cotree import find_induced_p4
 
 
 def test_build_k2():
@@ -63,8 +63,7 @@ def test_build_rejects_p4_with_witness():
 
 def test_witness_from_twin_free_remainder():
     # P4 with K30, I30, K30, I30 substituted for its vertices: 120 vertices,
-    # too many for a 4-subset search, but twin reduction leaves one vertex per
-    # module.
+    # and twin reduction leaves one vertex per module.
     blocks = [range(30 * i, 30 * i + 30) for i in range(4)]
     edges = [(u, v) for i in (0, 2) for u, v in combinations(blocks[i], 2)]
     edges += [(u, v) for i in range(3) for u in blocks[i] for v in blocks[i + 1]]
@@ -72,6 +71,48 @@ def test_witness_from_twin_free_remainder():
     with pytest.raises(NotCographError) as exc:
         build_cotree(g)
     assert_induced_p4(g, exc.value.witness)
+
+
+def random_graph(n, rng, p=0.5):
+    return from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def thin_spider(k):
+    # A clique on 0 .. k-1, and k + i adjacent to i only.
+    edges = list(combinations(range(k), 2)) + [(i, k + i) for i in range(k)]
+    return from_edges(2 * k, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_graph(65, random.Random(65)),
+        random_graph(200, random.Random(200)),
+        thin_spider(100),
+        from_edges(200, [(v, v + 1) for v in range(199)]),
+    ],
+    ids=["gnp65", "gnp200", "spider100", "path200"],
+)
+def test_witness_on_large_twin_free_graphs(g):
+    with pytest.raises(NotCographError) as exc:
+        build_cotree(g)
+    assert_induced_p4(g, exc.value.witness)
+
+
+def test_witness_on_every_rejected_small_graph():
+    rng = random.Random(8)
+    rejected = 0
+    for _ in range(2000):
+        n = rng.randint(4, 8)
+        g = random_graph(n, rng, rng.choice((0.3, 0.5, 0.7)))
+        try:
+            build_cotree(g)
+        except NotCographError as exc:
+            assert_induced_p4(g, exc.witness)
+            rejected += 1
+        else:
+            assert find_induced_p4(g) is None
+    assert rejected > 500
 
 
 def test_build_rejects_empty_graph():

@@ -2,6 +2,7 @@ from array import array
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -510,3 +511,30 @@ def test_dp_run_rejects_repeated_labels():
 def test_dp_run_rejects_labels_outside_the_weights(tree):
     with pytest.raises(ValueError, match=r"must lie in 0 \.\. 1"):
         dp_run(tree, [1, 1])
+
+
+def test_dp_run_judges_a_component_by_its_own_labels():
+    # The whole tree repeats L0, but each component is checked alone.
+    tree = parse_cotree("(U (C (U L0 L1)) (C (U L0 L5)))")
+    good, bad = root_components(tree)
+    assert extract_connected_min(dp_run(good, [1, 1])) == (2, frozenset({0, 1}))
+    with pytest.raises(ValueError, match=r"must lie in 0 \.\. 1"):
+        dp_run(bad, [1, 1])
+
+
+def test_dp_run_checks_a_trees_labels_once_per_bound():
+    # n/2 disjoint K2s: after the first component, a component's label check
+    # allocates nothing in proportion to n.
+    n = 1 << 18
+    text = "(U " * (n // 2 - 1) + "(C (U L0 L1))"
+    text += "".join(f" (C (U L{v} L{v + 1})))" for v in range(2, n, 2))
+    first, second = root_components(parse_cotree(text))[:2]
+    weights = [1] * n
+    dp_run(first, weights)
+    tracemalloc.start()
+    try:
+        dp_run(second, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

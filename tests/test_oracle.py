@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,3 +117,12 @@ def test_oracle_agrees_with_direct_enumeration(g):
                 if best is None or len(sub) < best:
                     best = len(sub)
     assert oracle_min_ft(g).weight == best
+
+
+def test_crosscheck_script_passes(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "crosscheck_random.py"
+    spec = importlib.util.spec_from_file_location("crosscheck_random", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--count", "40", "--max-n", "8"]) == 0
+    assert capsys.readouterr().out == "40 instances, 0 mismatches\n"

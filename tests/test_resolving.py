@@ -278,5 +278,6 @@ def test_weak_pair_falls_back_only_beyond_diameter_2(monkeypatch, g, wide):
 
 
 def test_weak_pair_rejects_out_of_range_members():
-    with pytest.raises(ValueError):
-        weak_pair(K2, {2})
+    for members in ({2}, {-1, 0}):
+        with pytest.raises(ValueError, match="chosen vertex out of range for n=2"):
+            weak_pair(K2, members)
