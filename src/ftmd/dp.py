@@ -16,10 +16,10 @@ existence flags match the index:
 neighbourhood); ``c``/``d`` do not (open neighbourhood). This split makes
 complementation exact: complementing the graph turns 0-vertices into
 vertices adjacent to all of ``R`` and 1-vertices into vertices adjacent to
-all but one member, so the whole table is just permuted by reversing the
-index. Entries with ``a = b = 1`` are permanently infeasible: a vertex
-with no chosen neighbour and a vertex with one chosen neighbour are
-separated at most once.
+all but one member, so every entry keeps its set and weight and only its
+state's index is reversed. Entries with ``a = b = 1`` are permanently
+infeasible: a vertex with no chosen neighbour and a vertex with one chosen
+neighbour are separated at most once.
 
 A leaf ``v`` has a table with two entries: choosing ``v`` gives state
 (0,1,1,0) at weight ``w_v``, leaving it out gives (1,0,0,1) at weight 0.
@@ -39,27 +39,31 @@ only by two chosen vertices. In the union:
     ``s = 0``, its ``d`` becomes ``c`` when the other side has ``s = 1``,
     and both are dropped when the other side has ``s = 2``.
 
-Tables are flat. Every entry one ``dp_run`` creates lives in its
-``EntryPool``, two parallel arrays of back-pointers indexed by entry id:
-the ids of the two side entries a union entry combines, or the vertex of a
-chosen leaf. Entry 0 is the empty set and entries 1 .. k are the tree's k
-leaves, left to right, filled in bulk from the leaf labels, so a leaf adds
-nothing to the pool. Weights are not pooled: each live table is one list
-``[shape, id, weight, id, weight, ...]`` that carries its entries' total
-weights, and a finished ``Table`` keeps them in ``weights`` beside the
-ascending tuple of its finite states and the tuple of their entry ids. At
-most six of the 16 states are ever finite.
+Tables are flat. Every entry one ``dp_run`` creates has an id into two
+parallel arrays of back-pointers, ``left`` and ``right``: the ids of the
+two side entries a union entry combines, or the vertex of a chosen leaf.
+Entry 0 is the empty set and entries 1 .. k are the tree's k leaves, left
+to right, filled in bulk from the leaf labels, so a leaf adds no entry.
+Weights travel with the tables: each live table is one list
+``[shape, id, weight, id, weight, ...]``, and a finished ``Table`` keeps its
+finite states, their entry ids and their total weights as tuples in the
+same order, beside the two arrays. At most six of the 16 states are ever
+finite.
 
 Which pairs of side states a union combines, and into which state, depends
-only on the two finite-state sets and on whether each side is a single
-leaf. A shape is a small integer id for one such set, with a single leaf's
-table as shape 0; 20 shapes are reachable, that one included. The plan of a union of two
-shapes (the union's shape, and per union state its candidate pairs in tie
-order) and the plan of a complement (the reversed shape and the reordering
-of the list) are worked out on first use and kept in lists indexed by
-shape id, so a node costs two list lookups and a loop over its candidates;
-a state with one candidate skips the comparison. The solution is read off
-the cheapest root entry by following back-pointers.
+only on the two tables' finite states and on whether each side is a single
+leaf. A shape is a small integer id for one table's finite states in the
+order the table keeps them, with a single leaf's table as shape 0. A union
+lists its states in ascending order. A complement keeps the order and
+reverses each state, so it only relabels the shape: each shape is
+registered together with its reversed twin, and a complement node costs
+one list lookup and allocates nothing. 20 shapes are reachable, the leaf's
+included. The plan of a union of two shapes (the union's shape, and per
+union state its candidate pairs in tie order) is worked out on first use
+and kept in lists indexed by shape id, so a union node costs two list
+lookups and a loop over its candidates; a state with one candidate skips
+the comparison. The solution is read off the cheapest root entry by
+following back-pointers.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -72,7 +76,6 @@ from __future__ import annotations
 
 from _thread import allocate_lock
 from array import array
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, check_labels, flat
@@ -116,7 +119,7 @@ def _union_state(i: int, s1: int, j: int, s2: int) -> int:
 # sides. This fixes which of several optimal sets is returned.
 _LEFT_SCAN = tuple(range(8, 12)) + tuple(range(8))
 
-# Entry 0 of every pool is the empty set: only a single leaf's table holds
+# Entry 0 of every run is the empty set: only a single leaf's table holds
 # it, because every entry of a larger subtree chooses two or more vertices.
 # Entries 1 .. k are the k leaves of the tree, left to right, each chosen.
 _EMPTY = 0
@@ -124,59 +127,63 @@ _LEAF_STATES = (_CHOSEN, _LEFT_OUT)
 _LEAF_SHAPE = 0
 
 
-class EntryPool(NamedTuple):
-    """The entries of one ``dp_run``, indexed by entry id.
-
-    A union entry holds the ids of one entry of each side in ``left[e]``
-    and ``right[e]``; a chosen leaf holds its vertex in ``left[e]`` and -1
-    in ``right[e]``; the empty set ``_EMPTY`` holds -1 in both. Weights are
-    not kept here: they travel with the tables that hold the entries.
-    """
-
-    left: array
-    right: array
-
-
 class Table(NamedTuple):
-    """A subtree's finite states in ascending order, the id of each state's
-    entry, the pool that holds the entries, and each entry's total weight."""
+    """A subtree's finite states in its shape's order, each state's entry id
+    and total weight, and the back-pointer arrays of the run, indexed by
+    entry id.
+
+    A union entry ``e`` holds the ids of one entry of each side in
+    ``left[e]`` and ``right[e]``; a chosen leaf holds its vertex in
+    ``left[e]`` and -1 in ``right[e]``; the empty set ``_EMPTY`` holds -1
+    in both.
+    """
 
     states: tuple[int, ...]
     ids: tuple[int, ...]
-    pool: EntryPool
     weights: tuple[Weight, ...]
+    left: array
+    right: array
 
 
 class TableEntry(NamedTuple):
     """One finite entry of a table, as ``finite_states`` hands it out."""
 
-    pool: EntryPool
     id: int
     weight: Weight
+    left: array
+    right: array
 
 
-# A shape is a table's finite-state set, with a single leaf's table apart:
-# shape ``_LEAF_SHAPE``. 19 more are reachable; each gets the next id when
-# it first occurs. The plans of a union of two shapes and of the
-# complement of a shape are filled in on first use, in lists indexed by
-# shape id; the lock only guards that growth.
+# A shape is a table's finite states in the table's order, with a single
+# leaf's table apart: shape ``_LEAF_SHAPE``, its own complement. Each new
+# tuple gets the next id together with its reversed twin, and
+# ``_complement_shapes`` links the two; 19 more shapes are reachable. The
+# plan of a union of two shapes is filled in on first use, in lists indexed
+# by shape id; the lock only guards that growth.
 _shape_states: list[tuple[int, ...]] = [_LEAF_STATES]
 _shape_ids: dict[tuple[int, ...], int] = {}
+_complement_shapes: list[int] = [_LEAF_SHAPE]
 _union_plans: list[list[tuple | None]] = [[None]]
-_complement_plans: list[tuple | None] = [None]
 _plans_lock = allocate_lock()
 
 
 def _shape_of(states: tuple[int, ...]) -> int:
-    """The id of a larger subtree's finite-state set; call with the lock held."""
+    """The id of a larger subtree's ordered finite states; call with the
+    lock held."""
     shape = _shape_ids.get(states)
     if shape is None:
-        shape = _shape_ids[states] = len(_shape_states)
-        _shape_states.append(states)
+        shape = len(_shape_states)
+        twin = tuple(_REVERSED[i] for i in states)
+        new = [states] if twin == states else [states, twin]
+        for s, ordered in enumerate(new, shape):
+            _shape_ids[ordered] = s
+        _shape_states.extend(new)
+        # Twins are each other's complement; a tuple that reads the same
+        # reversed is its own.
+        _complement_shapes.extend(reversed(range(shape, len(_shape_states))))
         for row in _union_plans:
-            row.append(None)
-        _union_plans.append([None] * (shape + 1))
-        _complement_plans.append(None)
+            row.extend([None] * len(new))
+        _union_plans.extend([None] * len(_shape_states) for _ in new)
     return shape
 
 
@@ -185,58 +192,40 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
     in ascending order, the candidate pairs that give it.
 
     A live table is one list ``[shape, id, weight, id, weight, ...]`` in
-    the order of its states. A group of candidates is ``(x, y, rest)``:
-    the positions of the first pair's ids in the two lists, and the
-    remaining pairs' positions, in ``_LEFT_SCAN`` order, so that the first
-    of equally cheap candidates wins. Filling a plan twice gives the same
-    plan.
+    the order of its shape's states. A group of candidates is
+    ``(x, y, rest)``: the positions of the first pair's ids in the two
+    lists, and the remaining pairs' positions. Pairs are listed by state,
+    side 1 in ``_LEFT_SCAN`` order and side 2 ascending, whatever the
+    positions, so that the first of equally cheap candidates wins. Filling
+    a plan twice gives the same plan.
     """
     with _plans_lock:
         states1, states2 = _shape_states[shape1], _shape_states[shape2]
-        sizes1 = _size_classes(states1, shape1 == _LEAF_SHAPE)
-        sizes2 = _size_classes(states2, shape2 == _LEAF_SHAPE)
+        leaf1, leaf2 = shape1 == _LEAF_SHAPE, shape2 == _LEAF_SHAPE
         candidates: dict[int, list[tuple[int, int]]] = {}
         for i in _LEFT_SCAN:
             if i not in states1:
                 continue
-            p1 = states1.index(i)
-            for p2, j in enumerate(states2):
-                k = _union_state(i, sizes1[p1], j, sizes2[p2])
+            for j in sorted(states2):
+                k = _union_state(i, _size_class(i, leaf1), j, _size_class(j, leaf2))
                 if k >= 0:
-                    candidates.setdefault(k, []).append((1 + 2 * p1, 1 + 2 * p2))
+                    pair = (1 + 2 * states1.index(i), 1 + 2 * states2.index(j))
+                    candidates.setdefault(k, []).append(pair)
         states = tuple(sorted(candidates))
         groups = tuple((*candidates[k][0], tuple(candidates[k][1:])) for k in states)
         plan = _union_plans[shape1][shape2] = (_shape_of(states), groups)
     return plan
 
 
-def _size_classes(states: tuple[int, ...], leaf: bool) -> list[int]:
-    """``min(|R|, 2)`` for each state's set: a single leaf chooses itself or
-    nothing, and a larger subtree always chooses two or more."""
-    return [(1 if i == _CHOSEN else 0) if leaf else 2 for i in states]
+def _size_class(i: int, leaf: bool) -> int:
+    """``min(|R|, 2)`` for state ``i``'s set: a single leaf chooses itself
+    or nothing, and a larger subtree always chooses two or more."""
+    return (1 if i == _CHOSEN else 0) if leaf else 2
 
 
-def _complement_plan(shape: int) -> tuple:
-    """The complement of a shape: its shape, and the positions in a live
-    table of the ids and weights in the order of the reversed states, or
-    ``None`` when that order is the table's own."""
-    with _plans_lock:
-        if shape == _LEAF_SHAPE:  # a leaf's two states read the same reversed
-            plan = (_LEAF_SHAPE, None)
-        else:
-            states = _shape_states[shape]
-            reversed_states = tuple(sorted(_REVERSED[i] for i in states))
-            order = [states.index(_REVERSED[k]) for k in reversed_states]
-            getter = None
-            if order != sorted(order):
-                getter = itemgetter(*(1 + 2 * p + d for p in order for d in (0, 1)))
-            plan = (_shape_of(reversed_states), getter)
-        _complement_plans[shape] = plan
-    return plan
-
-
-def _table(live: list, pool: EntryPool) -> Table:
-    return Table(_shape_states[live[0]], tuple(live[1::2]), pool, tuple(live[2::2]))
+def _table(live: list, left: array, right: array) -> Table:
+    states = _shape_states[live[0]]
+    return Table(states, tuple(live[1::2]), tuple(live[2::2]), left, right)
 
 
 def dp_run(
@@ -247,10 +236,10 @@ def dp_run(
     """Evaluate the dynamic program bottom-up over the cotree.
 
     One pass over the tree's post-order kinds: a leaf pushes its live
-    table, a union adds one entry to the pool per finite state of its
-    table, a complement adds none. When ``trace`` is a list, every node's
-    table is appended to it in post-order, with a view of the node. Raises
-    ``ValueError`` when leaf labels repeat or fall outside
+    table, a union adds one entry per finite state of its table, a
+    complement only relabels its table's shape. When ``trace`` is a list,
+    every node's table is appended to it in post-order, with a view of the
+    node. Raises ``ValueError`` when leaf labels repeat or fall outside
     ``range(len(weights))``.
     """
     check_labels(t, len(weights))
@@ -258,9 +247,8 @@ def dp_run(
     left = array("i", [-1])
     left += labels
     right = array("i", [-1]) * len(left)
-    pool = EntryPool(left, right)
     add_left, add_right = left.append, right.append
-    union_plans, complement_plans = _union_plans, _complement_plans
+    union_plans, complement_shapes = _union_plans, _complement_shapes
     leaf_weights = map(weights.__getitem__, labels)
     nodes = None if trace is None else iter_nodes(t)
     stack: list[list] = []
@@ -291,24 +279,20 @@ def dp_run(
             leaf += 1
             live = [_LEAF_SHAPE, leaf, next(leaf_weights), _EMPTY, 0]
         if nodes is not None:
-            trace.append((next(nodes), _table(live, pool)))
+            trace.append((next(nodes), _table(live, left, right)))
         if kind & COMPLEMENTED:
-            shape, getter = complement_plans[live[0]] or _complement_plan(live[0])
-            if getter is None:
-                live[0] = shape
-            else:
-                live = [shape, *getter(live)]
+            live[0] = complement_shapes[live[0]]
             if nodes is not None:
-                trace.append((next(nodes), _table(live, pool)))
+                trace.append((next(nodes), _table(live, left, right)))
         push(live)
-    return _table(stack[0], pool)
+    return _table(stack[0], left, right)
 
 
 def entry_vertices(entry: TableEntry) -> frozenset[int]:
     """Materialize the vertex set behind an entry by following its
     back-pointers; linear in the output. Leaf entries are read where they
     are met, never pushed."""
-    left, right = entry.pool.left, entry.pool.right
+    left, right = entry.left, entry.right
     e = entry.id
     if right[e] < 0:  # a chosen leaf or the empty set
         return frozenset([left[e]] if e != _EMPTY else [])
@@ -325,10 +309,11 @@ def entry_vertices(entry: TableEntry) -> frozenset[int]:
 
 
 def finite_states(table: Table) -> dict[tuple[int, int, int, int], TableEntry]:
-    """Finite table entries keyed by their flag tuple (for tests and display)."""
+    """Finite table entries keyed by their flag tuple, in ascending order
+    (for tests and display)."""
     return {
-        state_tuple(i): TableEntry(table.pool, e, w)
-        for i, e, w in zip(table.states, table.ids, table.weights)
+        state_tuple(i): TableEntry(e, w, table.left, table.right)
+        for i, e, w in sorted(zip(table.states, table.ids, table.weights))
     }
 
 
@@ -337,13 +322,11 @@ def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
 
     Ties go to the lexicographically smallest flag tuple.
     """
-    best = -1
-    for e, w in zip(table.ids, table.weights):
-        if best < 0 or w < weight:
-            best, weight = e, w
-    if best < 0:
+    best = min(zip(table.weights, table.states, table.ids), default=None)
+    if best is None:
         raise RuntimeError("state table has no feasible entry")
-    return weight, entry_vertices(TableEntry(table.pool, best, weight))
+    weight, _, e = best
+    return weight, entry_vertices(TableEntry(e, weight, table.left, table.right))
 
 
 class ComponentOutcome(NamedTuple):

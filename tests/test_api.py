@@ -1,6 +1,9 @@
-"""``ftmd.__all__`` is the API that README.md documents, and no more."""
+"""``ftmd.__all__`` is the API that README.md documents, and no more, and
+README.md's examples print what their comments say."""
 
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -36,3 +39,17 @@ def test_readme_and_scripts_import_only_exported_names():
 def test_exported_names_exist():
     assert all(hasattr(ftmd, name) for name in ftmd.__all__)
     assert len(set(ftmd.__all__)) == len(ftmd.__all__)
+
+
+def test_readme_examples_print_their_comments():
+    # Each print's output follows it as a comment, on the same line or the
+    # next one.
+    blocks = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        expected = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.MULTILINE)
+        assert len(expected) == len(re.findall(r"^print\(", block, re.MULTILINE))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        assert out.getvalue().splitlines() == expected

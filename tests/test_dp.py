@@ -1,6 +1,10 @@
 from array import array
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +17,7 @@ from ftmd import (
     EmptyGraphError,
     Leaf,
     NotCographError,
+    Union,
     build_cotree,
     complement_node,
     dp_run,
@@ -538,3 +543,83 @@ def test_dp_run_checks_a_trees_labels_once_per_bound():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_complement_keeps_a_tables_order_and_reverses_its_states():
+    rng = random.Random(1010)
+    for _ in range(300):
+        n = rng.randint(2, 80)
+        tree = random_cotree(n, rng.randrange(2**31))
+        if not isinstance(tree, Union):
+            tree = complement_node(tree)
+        weights = [rng.randint(0, 9) for _ in range(n)]
+        table = dp_run(tree, weights)
+        complemented = dp_run(complement_node(tree), weights)
+        assert complemented.ids == table.ids
+        assert complemented.weights == table.weights
+        reversed_states = tuple(dp_module._REVERSED[i] for i in table.states)
+        assert complemented.states == reversed_states
+
+
+def test_union_plans_from_the_leaf_shape_reach_the_documented_shapes():
+    # Shapes come only from plans, so every registered one is reachable from
+    # the leaf's; filling every plan among them until none is new closes them.
+    filled = 0
+    while filled < len(dp_module._shape_states):
+        filled = len(dp_module._shape_states)
+        for shape1 in range(filled):
+            for shape2 in range(filled):
+                dp_module._union_plan(shape1, shape2)
+    assert f"{filled} shapes are reachable" in dp_module.__doc__
+    complements = dp_module._complement_shapes
+    for shape, states in enumerate(dp_module._shape_states):
+        twin = dp_module._shape_states[complements[shape]]
+        assert twin == tuple(dp_module._REVERSED[i] for i in states)
+        assert complements[complements[shape]] == shape
+
+
+_FIRST_USE = """
+import json, sys, threading
+from ftmd import dp_run, finite_states, random_cotree
+
+trees = [random_cotree(1 << 10, 500 + seed) for seed in range(4)]
+weights = [[(v * 7 + seed) % 11 for v in range(1 << 10)] for seed in range(4)]
+if sys.argv[1] == "threads":
+    sys.setswitchinterval(1e-6)
+    start = threading.Barrier(4)
+    tables = [None] * 4
+
+    def run(i):
+        start.wait()
+        tables[i] = dp_run(trees[i], weights[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+else:
+    tables = [dp_run(tree, w) for tree, w in zip(trees, weights)]
+print(json.dumps([[(k, e.weight) for k, e in finite_states(t).items()] for t in tables]))
+"""
+
+
+def test_first_use_under_threads_matches_a_sequential_run():
+    # Each run starts a fresh interpreter, so all four threads fill the plan
+    # lists and register shapes from empty at once.
+    src = os.path.dirname(os.path.dirname(dp_module.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def tables(mode):
+        out = subprocess.run(
+            [sys.executable, "-c", _FIRST_USE, mode],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        return json.loads(out)
+
+    threaded = tables("threads")
+    assert all(threaded)
+    assert threaded == tables("sequential")
