@@ -1,0 +1,53 @@
+#!/usr/bin/env python3
+"""Count total and code lines of Python files.
+
+A code line is one that is not blank, not a ``#`` comment and not inside a
+module, class or function docstring. Prints one line per file and a sum:
+
+    python3 scripts/code_lines.py src/ftmd/*.py
+"""
+
+import ast
+import sys
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    """Line numbers spanned by the module's, classes' and functions' docstrings."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr):
+                value = body[0].value
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    lines.update(range(value.lineno, value.end_lineno + 1))
+    return lines
+
+
+def count(text: str) -> tuple[int, int]:
+    """Total and code lines of one file's text."""
+    skip = docstring_lines(ast.parse(text))
+    lines = text.splitlines()
+    code = sum(
+        1
+        for number, line in enumerate(lines, 1)
+        if number not in skip and line.strip() and not line.lstrip().startswith("#")
+    )
+    return len(lines), code
+
+
+def main(argv: list[str] | None = None) -> int:
+    paths = sys.argv[1:] if argv is None else argv
+    total = code = 0
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            lines, code_lines = count(f.read())
+        total += lines
+        code += code_lines
+        print(f"{lines:6} {code_lines:6}  {path}")
+    print(f"{total:6} {code:6}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

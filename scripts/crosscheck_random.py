@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Fuzz the solver against the brute-force oracle on random weighted cographs.
 
-Each trial also flips one random vertex pair of the cograph; when
-``build_cotree`` rejects the result, its witness must be an induced P4.
+Each trial relabels its cograph by a random permutation, so vertex ids do
+not follow the generating cotree's left-to-right leaf order. It also flips
+one random vertex pair of the cograph; when ``build_cotree`` rejects the
+result, its witness must be an induced P4.
 """
 
 import argparse
@@ -40,6 +42,8 @@ def main(argv=None):
     for trial in range(args.count):
         n = rng.randint(1, args.max_n)
         g = realize(random_cotree(n, rng.randrange(2**31)))
+        ids = rng.sample(range(n), n)
+        g = from_edges(n, [(ids[u], ids[v]) for u, v in g.edges()])
         weights = [rng.randint(0, args.max_weight) for _ in range(n)]
         solution = solve(g, weights)
         reference = oracle_min_ft(g, weights)

@@ -18,10 +18,11 @@ it. New trees come from ``Leaf(v)``, ``union_node`` and
 
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
 with equal open or closed neighbourhoods until one is left, in O(n + m)
-expected time, and rewrites the merges into one canonical tree. ``realize``
+expected time, growing the tree's union and join modules as it goes, and
+then orders each module's children into the canonical tree. ``realize``
 goes the other way in O(n + m), reading adjacency off the complement parity
-above each union node. ``check_labels`` checks that a tree's leaf labels
-are distinct and below a bound, at most once per tree and bound.
+above each union node. ``check_labels`` checks that a subtree's k leaf
+labels are distinct and below a bound in O(k).
 
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
@@ -69,12 +70,10 @@ class NotCographError(Exception):
 
 
 class _Arrays:
-    """One tree's two arrays, and the bound ``check_labels`` last passed
-    all of its labels for (-1 before that)."""
+    """One tree's two arrays, shared by all views of it."""
 
     def __init__(self, kinds: bytearray, labels: array):
         self.kinds, self.labels = kinds, labels
-        self.labels_below = -1
 
     @cached_property
     def sizes(self) -> array:
@@ -253,33 +252,13 @@ def root_components(t: Cotree) -> list[Cotree]:
 
 def check_labels(t: Cotree, n: int) -> None:
     """Raise ``ValueError`` when ``t``'s leaf labels repeat or fall outside
-    ``range(n)``, a repeat first.
-
-    One pass marks the labels of the whole tree that ``t`` is a view of in
-    an ``n``-byte array, and a pass is recorded on the tree: checking any
-    view of it again for the same ``n`` costs O(1). Only when another part
-    of the tree fails are ``t``'s own labels checked alone.
+    ``range(n)``, a repeat first. One set over ``t``'s own k labels: O(k).
     """
-    tree = t._tree
-    if tree.labels_below == n:
-        return
-    seen = bytearray(n)
-    try:
-        # Read as unsigned, a negative label is out of range as well.
-        for v in array("I", tree.labels.tobytes()):
-            if seen[v]:
-                break
-            seen[v] = 1
-        else:
-            tree.labels_below = n
-            return
-    except IndexError:
-        pass
-    if t._leaves < len(tree.labels):
-        return check_labels(_from_arrays(*flat(t)), n)
-    if len(set(tree.labels)) < len(tree.labels):
+    labels = flat(t)[1]
+    if len(set(labels)) < len(labels):
         raise ValueError("cotree leaf labels repeat")
-    raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
+    if min(labels) < 0 or max(labels) >= n:
+        raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
 
 
 def realize(t: Cotree) -> Graph:
@@ -367,9 +346,9 @@ def build_cotree(g: Graph) -> Cotree:
         for k, vs in buckets[kind].items()
         if len(vs) > 1
     ]
-    # Merge node n + i puts the subtrees merges[i][1] under one node of kind
-    # merges[i][0]; top[v] is the subtree of live vertex v's module.
-    merges: list[tuple[int, list[int]]] = []
+    # Module node n + i puts the subtrees modules[i][1] under one node of
+    # kind modules[i][0]; top[v] is the subtree of live vertex v's module.
+    modules: list[tuple[int, list[int]]] = []
     top = list(range(n))
 
     def key(kind: int, v: int) -> int:
@@ -384,7 +363,7 @@ def build_cotree(g: Graph) -> Cotree:
         members = [v for v in buckets[kind][k] if live[v] and key(kind, v) == k]
         kept: list[int] = []
         while len(members) > 1:
-            a, rest, group = members[0], [], [top[members[0]]]
+            a, rest, absorbed = members[0], [], []
             for b in members[1:]:
                 if b == a or not live[b]:
                     continue
@@ -400,10 +379,19 @@ def build_cotree(g: Graph) -> Cotree:
                 if kind == _TRUE:
                     open_sum[a] -= code[b]
                 code[a] += code[b]
-                group.append(top[b])
-            if len(group) > 1:
-                merges.append((kind, group))
-                top[a] = n + len(merges) - 1
+                absorbed.append(top[b])
+            if absorbed:
+                # b never heads a module of this kind: a vertex that does
+                # held it in this bucket, so every holder before it failed
+                # the twin test with it, and merging twins of one kind keeps
+                # such pairs non-twins. So modules never nest in one of
+                # their own kind, and a's module grows in place.
+                x = top[a] - n
+                if x >= 0 and modules[x][0] == kind:
+                    modules[x][1].extend(absorbed)
+                else:
+                    modules.append((kind, [top[a], *absorbed]))
+                    top[a] = n + len(modules) - 1
                 other = 1 - kind
                 k_other = key(other, a)
                 bucket = buckets[other].setdefault(k_other, [])
@@ -418,7 +406,7 @@ def build_cotree(g: Graph) -> Cotree:
     if len(remaining) > 1:
         # adj now holds the subgraph induced by the remaining vertices.
         raise NotCographError(_middle_edge_p4(adj, remaining))
-    return _canonical_tree(n, merges, top[remaining[0]])
+    return _canonical_tree(n, modules, top[remaining[0]])
 
 
 def _middle_edge_p4(adj: list[set[int]], vertices: list[int]) -> tuple[int, int, int, int]:
@@ -441,46 +429,34 @@ def _middle_edge_p4(adj: list[set[int]], vertices: list[int]) -> tuple[int, int,
     raise RuntimeError("a twin-free graph with two or more vertices has an induced P4")
 
 
-def _canonical_tree(n: int, merges: list[tuple[int, list[int]]], root: int) -> Cotree:
-    """Rewrite a merge tree as the canonical cotree.
+def _canonical_tree(n: int, modules: list[tuple[int, list[int]]], root: int) -> Cotree:
+    """Write a module tree as the canonical cotree.
 
-    Node ids below ``n`` are leaves; id ``n + i`` is ``merges[i]``. Nested
-    merges of one kind form one module node, whose children are listed in
+    Node ids below ``n`` are leaves; id ``n + i`` is ``modules[i]``, whose
+    children are of other kinds. Each module's children are listed in
     ascending order of their smallest leaf: left-deep for a union, and for a
     join the complement of the union of its children's complements, where a
     complemented leaf stays the leaf.
     """
-    children: dict[int, list[int]] = {}
     order: list[int] = []  # module nodes, parents first
     stack = [root]
     while stack:
         x = stack.pop()
-        if x < n:
-            continue
-        order.append(x)
-        kind = merges[x - n][0]
-        kids: list[int] = []
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            if y >= n and merges[y - n][0] == kind:
-                frontier += merges[y - n][1]
-            else:
-                kids.append(y)
-        children[x] = kids
-        stack += kids
+        if x >= n:
+            order.append(x)
+            stack += modules[x - n][1]
 
     # Concatenating a module's children copies each subtree once per module
     # above it. Each join module of s vertices has at least s - 1 edges and
     # each union module is no larger than the join above it, so the copies
     # cost O(n + m) in all.
-    smallest = list(range(n)) + [0] * len(merges)
+    smallest = list(range(n)) + [0] * len(modules)
     built: dict[int, tuple[bytearray, array]] = {}
     for x in reversed(order):
-        kids = children.pop(x)
+        kind, kids = modules[x - n]
         kids.sort(key=smallest.__getitem__)
         smallest[x] = smallest[kids[0]]
-        flip = COMPLEMENTED if merges[x - n][0] == _TRUE else 0
+        flip = COMPLEMENTED if kind == _TRUE else 0
         kinds, labels = bytearray(), array("i")
         for i, y in enumerate(kids):
             if y < n:

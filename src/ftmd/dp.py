@@ -144,6 +144,9 @@ class Table(NamedTuple):
     left: array
     right: array
 
+    def __repr__(self) -> str:
+        return f"Table(states={self.states}, ids={self.ids}, weights={self.weights})"
+
 
 class TableEntry(NamedTuple):
     """One finite entry of a table, as ``finite_states`` hands it out."""
@@ -152,6 +155,9 @@ class TableEntry(NamedTuple):
     weight: Weight
     left: array
     right: array
+
+    def __repr__(self) -> str:
+        return f"TableEntry(id={self.id}, weight={self.weight!r})"
 
 
 # A shape is a table's finite states in the table's order, with a single

@@ -247,6 +247,26 @@ def test_build_large_star_with_isolated_vertices_in_linear_time():
     assert seconds < 10
 
 
+def joined_to_disjoint_edges(k):
+    """Vertex 0 joined to k disjoint edges: one union module gains a child
+    on every merge."""
+    edges = [(0, v) for v in range(1, 2 * k + 1)]
+    edges += [(v, v + 1) for v in range(1, 2 * k + 1, 2)]
+    return from_edges(2 * k + 1, edges)
+
+
+def test_build_growing_union_module_in_linear_time():
+    for k in range(1, 7):
+        g = joined_to_disjoint_edges(k)
+        assert format_cotree(build_cotree(g)) == format_cotree(
+            reference_cotree.build_cotree(g)
+        )
+    g = joined_to_disjoint_edges(2**16)
+    t, seconds = timed_build(g)
+    assert realize(t) == g
+    assert seconds < 10
+
+
 def test_union_chain_is_left_deep_and_ascending():
     g = from_edges(4, [])  # four isolated vertices
     t = build_cotree(g)

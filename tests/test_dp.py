@@ -561,6 +561,16 @@ def test_complement_keeps_a_tables_order_and_reverses_its_states():
         assert complemented.states == reversed_states
 
 
+def test_table_and_entry_reprs_leave_out_the_back_pointer_arrays():
+    n = 1 << 12
+    table = dp_run(random_cotree(n, 1), [1] * n)
+    assert len(table.left) > n
+    assert len(repr(table)) < 1000
+    for entry in finite_states(table).values():
+        assert repr(entry) == f"TableEntry(id={entry.id}, weight={entry.weight})"
+        assert len(repr(entry)) < 1000
+
+
 def test_union_plans_from_the_leaf_shape_reach_the_documented_shapes():
     # Shapes come only from plans, so every registered one is reachable from
     # the leaf's; filling every plan among them until none is new closes them.
