@@ -70,8 +70,10 @@ def read_edge_list(path: str) -> Graph:
                 ) from None
             if n < 0 or m < 0:
                 raise FileFormatError(path, header_no, "n and m must be non-negative")
-            # Keyed by vertex, so that a header with a huge n costs nothing
-            # before the edge count is checked.
+            # Both keyed by vertex as met, so that a header with a huge n costs
+            # nothing before the edge count is checked. ids holds one int
+            # object per vertex, which every neighbourhood shares.
+            ids = _VertexIds()
             adj: defaultdict[int, set[int]] = defaultdict(set)
             count = 0
             error: FileFormatError | None = None
@@ -83,7 +85,7 @@ def read_edge_list(path: str) -> Graph:
                     error = FileFormatError(path, line_no, "edge line must be 'u v'")
                     continue
                 try:
-                    u, v = int(parts[0]), int(parts[1])
+                    u, v = ids[parts[0]], ids[parts[1]]
                 except ValueError:
                     error = FileFormatError(
                         path, line_no, "edge endpoints must be integers"
@@ -107,8 +109,19 @@ def read_edge_list(path: str) -> Graph:
         except FileFormatError:
             _finish_decoding(handle)
             raise
+    # Each set is freed as soon as it is frozen.
     none: frozenset[int] = frozenset()
-    return Graph(n, tuple(frozenset(adj.get(v, none)) for v in range(n)))
+    return Graph._unchecked(n, tuple(frozenset(adj.pop(v, none)) for v in range(n)))
+
+
+class _VertexIds(dict):
+    """Maps an endpoint token to its vertex id, and an id to itself, so that
+    equal ids share one ``int`` however they are written."""
+
+    def __missing__(self, token: str) -> int:
+        v = int(token)
+        v = self[token] = self.setdefault(v, v)
+        return v
 
 
 def _parse_number(token: str) -> int | float | Fraction:

@@ -296,7 +296,7 @@ def realize(t: Cotree) -> Graph:
                 for v in right_part:
                     adj[v].update(left_part)
             stack += ((pos - 2 * right, start, odd), (pos - 1, mid, odd))
-    return Graph(n, tuple(map(frozenset, adj)))
+    return Graph._unchecked(n, tuple(map(frozenset, adj)))
 
 
 def build_cotree(g: Graph) -> Cotree:
@@ -318,9 +318,15 @@ def build_cotree(g: Graph) -> Cotree:
     sum of its members' random codes, so a neighbourhood's code sum never
     changes when two of its members merge. Twin candidates therefore come
     out of hash buckets, and each is checked exactly before it merges: a
-    collision costs time, never correctness. Each check and each merge costs
-    O(degree) of the vertex it removes, so the reduction takes O(n + m)
-    expected time; sorting each node's children adds O(n log n).
+    collision costs time, never correctness. A merge deletes the absorbed
+    vertex, so the current graph is the one ``g.adj`` induces on the live
+    vertices, and ``g.adj`` is read in place. Codes are positive, so a live
+    neighbourhood inside another with the same code sum equals it: a
+    bucket's holder ``a`` and another member ``b`` are false twins when
+    ``adj[b] - adj[a]`` holds no live vertex, and true twins when its live
+    part is ``{a}``. A check costs O(degree of b in g), and b is absorbed
+    unless the pair collided; a merge costs O(1). So the reduction takes
+    O(n + m) expected time; sorting each node's children adds O(n log n).
 
     A graph is rejected when no twins are left among two or more live
     vertices. Those vertices induce a graph with no twins, which contains an
@@ -331,9 +337,9 @@ def build_cotree(g: Graph) -> Cotree:
     if n == 0:
         raise EmptyGraphError("cannot build a cotree for the empty graph")
     rng = random.Random(_CODE_SEED)
-    code = [rng.getrandbits(64) for _ in range(n)]
-    adj: list[set[int]] = [set(s) for s in g.adj]
-    live = [True] * n
+    code = [rng.getrandbits(64) | 1 for _ in range(n)]
+    adj = g.adj
+    dead: set[int] = set()
     # Code sum over the live neighbours; a true-twin key adds the own code.
     open_sum = [sum(map(code.__getitem__, s)) for s in adj]
     buckets: tuple[dict[int, list[int]], dict[int, list[int]]] = ({}, {})
@@ -355,27 +361,25 @@ def build_cotree(g: Graph) -> Cotree:
         return open_sum[v] + code[v] if kind == _TRUE else open_sum[v]
 
     def twins(kind: int, a: int, b: int) -> bool:
-        return adj[a] == adj[b] if kind == _FALSE else adj[a] ^ adj[b] == {a, b}
+        extra = adj[b] - adj[a] - dead
+        return extra == {a} if kind == _TRUE else not extra
 
     while todo:
         kind, k = todo.pop()
         # Entries go stale when their vertex is absorbed or its key changes.
-        members = [v for v in buckets[kind][k] if live[v] and key(kind, v) == k]
+        members = [v for v in buckets[kind][k] if v not in dead and key(kind, v) == k]
         kept: list[int] = []
         while len(members) > 1:
             a, rest, absorbed = members[0], [], []
             for b in members[1:]:
-                if b == a or not live[b]:
+                if b == a or b in dead:
                     continue
                 if not twins(kind, a, b):
                     rest.append(b)  # a hash collision
                     continue
                 # Absorb b into a: no other vertex's key changes, and a's
                 # key of this kind stays.
-                for w in adj[b]:
-                    adj[w].discard(b)
-                adj[b].clear()
-                live[b] = False
+                dead.add(b)
                 if kind == _TRUE:
                     open_sum[a] -= code[b]
                 code[a] += code[b]
@@ -402,14 +406,18 @@ def build_cotree(g: Graph) -> Cotree:
             members = rest
         buckets[kind][k] = kept + members
 
-    remaining = [v for v in range(n) if live[v]]
+    remaining = [v for v in range(n) if v not in dead]
     if len(remaining) > 1:
-        # adj now holds the subgraph induced by the remaining vertices.
-        raise NotCographError(_middle_edge_p4(adj, remaining))
+        # Trimmed in place, which keeps each copy's iteration order and with
+        # it the witness that the search returns.
+        induced = {v: set(adj[v]) for v in remaining}
+        for v, nbrs in induced.items():
+            nbrs -= adj[v] & dead
+        raise NotCographError(_middle_edge_p4(induced, remaining))
     return _canonical_tree(n, modules, top[remaining[0]])
 
 
-def _middle_edge_p4(adj: list[set[int]], vertices: list[int]) -> tuple[int, int, int, int]:
+def _middle_edge_p4(adj: dict[int, set[int]], vertices: list[int]) -> tuple[int, int, int, int]:
     """An induced path a-b-c-d of the twin-free graph ``adj`` on ``vertices``.
 
     For an edge b-c, a can be any vertex of A = N(b) - N[c] and d any of

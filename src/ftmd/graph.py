@@ -25,7 +25,9 @@ class Graph(_GraphFields):
 
     ``adj[v]`` is the open neighbourhood of ``v``. The constructor rejects
     self-loops, out-of-range ids and asymmetric adjacency; ``_replace`` and
-    ``_make`` go through it too.
+    ``_make`` go through it too. Builders whose adjacency is valid by
+    construction (``from_edges``, ``disjoint_union``, ``cotree.realize``,
+    ``cli.read_edge_list``) skip those O(n + m) checks via ``_unchecked``.
     """
 
     __slots__ = ()
@@ -49,6 +51,12 @@ class Graph(_GraphFields):
     def _make(cls, iterable: Iterable) -> Graph:
         return cls(*iterable)
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[frozenset[int], ...]) -> Graph:
+        """A graph from adjacency that its builder already made valid: ids
+        in range, no loops, symmetric."""
+        return tuple.__new__(cls, (n, adj))
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
         return sorted((u, v) for u in range(self.n) for v in self.adj[u] if u < v)
@@ -66,6 +74,8 @@ class DistanceRow(NamedTuple):
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; validates ids and forbids loops."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
@@ -74,7 +84,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj))
+    return Graph._unchecked(n, tuple(map(frozenset, adj)))
 
 
 def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
@@ -102,7 +112,7 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; the vertices of ``g2`` are shifted up by ``g1.n``."""
     shift = g1.n
     adj = list(g1.adj) + [frozenset(v + shift for v in s) for s in g2.adj]
-    return Graph(g1.n + g2.n, tuple(adj))
+    return Graph._unchecked(g1.n + g2.n, tuple(adj))
 
 
 def bfs_distances(g: Graph, source: int) -> DistanceRow:

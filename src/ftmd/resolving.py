@@ -2,11 +2,11 @@
 
 ``weak_pair`` is the structural fault-tolerance certificate behind
 ``Solution.verify`` and ``ftmd solve --verify``: adjacency bitsets and the
-diameter bound of connected cographs make it O(n^2) operations on n-bit
-masks. The other checkers are deliberately direct implementations of the
-definitions (BFS distances, neighbourhood symmetric differences); tests and
-the brute-force oracle use them as the ground truth that ``weak_pair`` is
-tested against.
+diameter bound of connected cographs make it O(n^2) operations on masks
+as wide as a component. The other checkers are deliberately direct
+implementations of the definitions (BFS distances, neighbourhood symmetric
+differences); tests and the brute-force oracle use them as the ground truth
+that ``weak_pair`` is tested against.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
     """A pair separated by fewer than two members of ``r``, or ``None`` when
     ``r`` is fault-tolerant for ``g``.
 
-    Works on adjacency bitsets (``int`` masks):
+    Works on adjacency bitsets (``int`` masks), one bit per vertex of the
+    component:
 
     - across components, ``x`` separates ``u`` and ``v`` exactly when it
       lies in the component of ``u`` or of ``v``, so only the two
@@ -117,36 +118,39 @@ def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
       only pairs with an endpoint outside ``r`` are scanned.
 
     Connected cographs have diameter at most 2, so on a cograph this takes
-    O(n^2) operations on n-bit masks: at most one per edge to check the
-    diameter and one per scanned pair. The bound is checked, not assumed:
-    when some component is wider, the answer is
+    O(n^2) operations on masks no wider than a component: at most one per
+    edge to check the diameter and one per scanned pair. The bound is
+    checked, not assumed: when some component is wider, the answer is
     ``first_unresolved_pair(g, r, 2)``, so the result is exact on any graph.
     """
     members = frozenset(r)
     if members and not 0 <= min(members) <= max(members) < g.n:
         raise ValueError(f"chosen vertex out of range for n={g.n}")
-    chosen = _mask(members)
     components = connected_components(g)
     if len(components) > 1:
         load = sorted((len(c & members), min(c)) for c in components)
         (c1, v1), (c2, v2) = load[:2]
         if c1 + c2 < 2:
             return (min(v1, v2), max(v1, v2))
-    adj = [_mask(nbrs) for nbrs in g.adj]
+    # Bit i stands for the i-th vertex of the mask's own component, so the
+    # masks take O(sum of squared component sizes) bits, not O(n^2).
+    pos = {v: i for comp in components for i, v in enumerate(comp)}
+    adj = [_mask(map(pos.__getitem__, nbrs)) for nbrs in g.adj]
     for comp in components:
-        full = _mask(comp)
+        full = (1 << len(comp)) - 1
         for u in comp:
             # Vertices within distance 2 of u, until they cover the component.
-            reach = adj[u] | (1 << u)
+            reach = adj[u] | (1 << pos[u])
             for w in g.adj[u]:
                 if reach == full:
                     break
                 reach |= adj[w]
             if reach != full:
                 return first_unresolved_pair(g, members, 2)
-    hits = [a & chosen for a in adj]
-    own = [chosen & (1 << v) for v in range(g.n)]
+    own = [1 << pos[v] if v in members else 0 for v in range(g.n)]
     for comp in components:
+        chosen = sum(map(own.__getitem__, comp))
+        hits = {v: adj[v] & chosen for v in comp}
         for u in comp:
             if own[u]:
                 continue

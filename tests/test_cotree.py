@@ -7,6 +7,7 @@ import re
 import time
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -115,6 +116,34 @@ def test_witness_on_every_rejected_small_graph():
     assert rejected > 500
 
 
+def test_build_reads_the_adjacency_without_changing_it():
+    rng = random.Random(3)
+    graphs = [realize(random_cotree(40, seed)) for seed in range(5)]
+    graphs += [from_edges(9, [(0, 1), (1, 2), (2, 3)])]
+    graphs += [from_edges(30, [e for e in combinations(range(30), 2) if rng.random() < 0.4])]
+    for g in graphs:
+        before = [set(nbrs) for nbrs in g.adj]
+        try:
+            build_cotree(g)
+        except NotCographError:
+            pass
+        assert [set(nbrs) for nbrs in g.adj] == before
+
+
+def test_build_peak_memory_leaves_out_an_adjacency_copy():
+    # A set copy of the adjacency alone takes 2.6 to 8.3 MB on these graphs
+    # (24k to 109k edges); the reduction's own lists take about 0.3 MB.
+    for seed in range(3):
+        g = realize(random_cotree(512, seed))
+        tracemalloc.start()
+        try:
+            build_cotree(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def test_build_rejects_empty_graph():
     with pytest.raises(EmptyGraphError):
         build_cotree(from_edges(0, []))
@@ -171,6 +200,30 @@ def test_build_matches_reference_on_all_small_graphs():
         for bits in range(1 << len(pairs)):
             g = from_edges(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             assert outcome(build_cotree, g) == outcome(reference_cotree.build_cotree, g)
+
+
+def test_build_is_exact_when_codes_collide(monkeypatch):
+    # Codes 1 and 3 only: nearly every bucket mixes twins with non-twins,
+    # and the exact check alone decides each merge.
+    class FewCodes(random.Random):
+        def getrandbits(self, k):
+            return super().getrandbits(2)
+
+    rng = random.Random(77)
+    graphs = [
+        from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
+        for n in range(1, 9)
+        for _ in range(60)
+    ]
+    graphs += [realize(random_cotree(n, n)) for n in range(1, 80, 3)]
+    expected = [outcome(reference_cotree.build_cotree, g) for g in graphs]
+    monkeypatch.setattr(cotree_module, "random", SimpleNamespace(Random=FewCodes))
+    for g, tree in zip(graphs, expected):
+        assert outcome(build_cotree, g) == tree
+        if tree is None:
+            with pytest.raises(NotCographError) as exc:
+                build_cotree(g)
+            assert_induced_p4(g, exc.value.witness)
 
 
 def test_build_matches_reference_on_relabelled_random_cotrees():

@@ -1,9 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 
-from ftmd import Graph, from_edges
+from ftmd import Graph, from_edges, random_cotree, realize
+from ftmd.cli import read_edge_list
 from ftmd.graph import bfs_distances, connected_components, disjoint_union
 from strategies import cographs, complement, graphs, induced_subgraph
 
@@ -160,3 +162,39 @@ def test_induced_subgraph_rejects_bad_vertices():
 def test_disjoint_union_shifts_second_graph():
     g = disjoint_union(from_edges(2, [(0, 1)]), from_edges(2, [(0, 1)]))
     assert g.edges() == [(0, 1), (2, 3)]
+
+
+def edge_file(tmp_path, g, rng):
+    """``g`` as an edge-list file: edge lines shuffled, with comments, blank
+    lines and some ids written with leading zeros or a plus sign."""
+    def spell(v):
+        return rng.choice((str(v), f"0{v}", f"+{v}"))
+
+    lines = [f"{spell(u)} {spell(v)}" for u, v in g.edges()]
+    rng.shuffle(lines)
+    for _ in range(len(lines) // 50 + 2):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("", "# note", "  ")))
+    path = tmp_path / "g.txt"
+    path.write_text(f"# header next\n{g.n} {len(g.edges())}\n" + "\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_builders_that_skip_validation_build_valid_graphs(tmp_path):
+    # from_edges, disjoint_union, realize and read_edge_list build through
+    # Graph._unchecked; the validating constructor must accept what they build.
+    with pytest.raises(ValueError):
+        from_edges(-1, [])
+    rng = random.Random(12)
+    for seed in range(12):
+        n = rng.choice((1, 2, 5, 40, 300))
+        cograph = realize(random_cotree(n, seed))
+        pairs = list(combinations(range(n), 2))
+        other = from_edges(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        for g in (cograph, other, disjoint_union(cograph, other)):
+            read = read_edge_list(edge_file(tmp_path, g, rng))
+            assert read == g
+            for built in (g, read):
+                assert Graph(built.n, built.adj) == built
+            if g.n > 256:
+                ids = {id(v) for nbrs in read.adj for v in nbrs}
+                assert len(ids) <= g.n

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
@@ -281,3 +283,18 @@ def test_weak_pair_rejects_out_of_range_members():
     for members in ({2}, {-1, 0}):
         with pytest.raises(ValueError, match="chosen vertex out of range for n=2"):
             weak_pair(K2, members)
+
+
+def test_weak_pair_masks_take_memory_per_component():
+    # One n-bit mask per vertex would take n^2 / 8 bytes, about 50 MB per
+    # list at n = 20,000; masks with component-local bits take a few bytes.
+    n = 20_000
+    g = from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
+    tracemalloc.start()
+    try:
+        assert weak_pair(g, range(n)) is None
+        assert weak_pair(g, range(1, n)) == (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
