@@ -14,6 +14,7 @@ import argparse
 import math
 import sys
 from collections import defaultdict
+from operator import lt
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
@@ -48,70 +49,178 @@ def _finish_decoding(handle: TextIO) -> None:
         pass
 
 
+def _integer(token: str) -> int:
+    """``int(token)``, except that the ``_`` digit separator that ``int``
+    accepts is a ``ValueError`` too."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
+    return int(token)
+
+
+# Characters of an edge list read at a time. A slice's tokens are alive
+# together, as str objects of about 15 bytes per character of the slice, so
+# larger slices raise the peak of a small solve and read no faster.
+_SLICE = 1 << 14
+# A piece of a slice shorter than this is read line by line, not halved.
+_PIECE = 1 << 9
+_NOT_DIGITS = str.maketrans("", "", "0123456789")
+
+
 def read_edge_list(path: str) -> Graph:
     """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v.
 
-    The file is streamed into adjacency sets. A wrong edge count is reported
-    before any bad edge line, so the first bad line is kept until the end.
+    After the header the file is read in slices of about ``_SLICE``
+    characters, each cut after a newline (``_EdgeLines``). A slice of plain
+    ``digits space digits`` lines is checked and added in bulk; any other
+    line, and every bad one, takes the line-by-line path, so messages and
+    line numbers do not depend on where the slices fall. A wrong edge count
+    is reported before any bad edge line, and a decoding error anywhere
+    before either.
     """
     with open(path, "r", encoding="ascii") as handle:
         try:
-            records = _records(handle)
-            header_no, parts = next(records, (1, None))
+            header_no, parts = next(_records(handle), (1, None))
             if parts is None:
                 raise FileFormatError(path, 1, "missing 'n m' header line")
             if len(parts) != 2:
                 raise FileFormatError(path, header_no, "header must be 'n m'")
             try:
-                n, m = int(parts[0]), int(parts[1])
+                n, m = _integer(parts[0]), _integer(parts[1])
             except ValueError:
                 raise FileFormatError(
                     path, header_no, "header must be two integers"
                 ) from None
             if n < 0 or m < 0:
                 raise FileFormatError(path, header_no, "n and m must be non-negative")
-            # Both keyed by vertex as met, so that a header with a huge n costs
-            # nothing before the edge count is checked. ids holds one int
-            # object per vertex, which every neighbourhood shares.
-            ids = _VertexIds()
-            adj: defaultdict[int, set[int]] = defaultdict(set)
-            count = 0
-            error: FileFormatError | None = None
-            for line_no, parts in records:
-                count += 1
-                if error is not None:
-                    continue
-                if len(parts) != 2:
-                    error = FileFormatError(path, line_no, "edge line must be 'u v'")
-                    continue
-                try:
-                    u, v = ids[parts[0]], ids[parts[1]]
-                except ValueError:
-                    error = FileFormatError(
-                        path, line_no, "edge endpoints must be integers"
-                    )
-                    continue
-                if not 0 <= u < v < n:
-                    error = FileFormatError(path, line_no, f"need 0 <= u < v < {n}")
-                    continue
-                nbrs = adj[u]
-                if v in nbrs:
-                    error = FileFormatError(path, line_no, f"duplicate edge {u} {v}")
-                    continue
-                nbrs.add(v)
-                adj[v].add(u)
-            if count != m:
+            edges = _EdgeLines(path, n, header_no)
+            while text := handle.read(_SLICE):
+                if text[-1] != "\n":
+                    text += handle.readline()
+                edges.read(text)
+            if edges.count != m:
                 raise FileFormatError(
-                    path, header_no, f"header announces {m} edges, file has {count}"
+                    path,
+                    header_no,
+                    f"header announces {m} edges, file has {edges.count}",
                 )
-            if error is not None:
-                raise error
         except FileFormatError:
             _finish_decoding(handle)
             raise
-    # Each set is freed as soon as it is frozen.
+    adj = edges.adj
+    listed = sum(map(len, adj.values()))
+    # Freezing a set, not the list, sizes each frozenset as the line-by-line
+    # reader's sets did (from a list it can be twice as large); each list is
+    # freed as soon as it is frozen.
+    rows = {v: frozenset(set(adj.pop(v))) for v in list(adj)}
+    if sum(map(len, rows.values())) != listed:
+        # Every edge listed comes before the first other bad line.
+        raise _first_duplicate(path)
+    if edges.error is not None:
+        raise edges.error
     none: frozenset[int] = frozenset()
-    return Graph._unchecked(n, tuple(frozenset(adj.pop(v, none)) for v in range(n)))
+    return Graph._unchecked(n, tuple(rows.pop(v, none) for v in range(n)))
+
+
+class _EdgeLines:
+    """The edge lines of one file, read in order in whole-line pieces.
+
+    Neighbour lists are keyed by vertex as met, so that a header with a huge
+    ``n`` costs nothing before the edge count is checked. Lists may hold a
+    duplicate edge; the caller finds it by comparing sizes. ``error`` is the
+    first other bad line; no edge after it is added, only counted.
+    """
+
+    def __init__(self, path: str, n: int, line_no: int):
+        self.path = path
+        self.n = n
+        self.line_no = line_no  # of the last line read
+        self.count = 0  # edge lines, good or bad
+        self.error: FileFormatError | None = None
+        self.ids = _VertexIds()
+        self.adj: defaultdict[int, list[int]] = defaultdict(list)
+
+    def read(self, text: str) -> None:
+        """Take the next whole lines of the file; only the file's last line
+        may lack its newline."""
+        newlines = text.count("\n")
+        # Exactly lines of digits, one space, digits: each line has one
+        # space, and two tokens per line means digits on both sides of it.
+        if text.translate(_NOT_DIGITS) == " \n" * newlines:
+            tokens = text.split()
+            if len(tokens) == 2 * newlines and (
+                self.error is not None or self._add(tokens)
+            ):
+                self.line_no += newlines
+                self.count += newlines
+                return
+        # Halve a long piece, so that a comment or one bad line sends only
+        # a short piece around it line by line.
+        half = len(text) // 2
+        cut = text.find("\n", half, -1) + 1 or text.rfind("\n", 0, half) + 1
+        if len(text) >= _PIECE and cut:
+            self.read(text[:cut])
+            self.read(text[cut:])
+            return
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        for line in lines:
+            self.line_no += 1
+            fields = line.split()
+            if fields and fields[0][0] != "#":
+                self.count += 1
+                if self.error is None:
+                    self.error = self._edge(fields)
+
+    def _add(self, tokens: list[str]) -> bool:
+        """Add the edges of ``u v`` digit tokens if all are good; if any is
+        not, add none and return ``False``."""
+        try:
+            ends = list(map(self.ids.__getitem__, tokens))
+        except ValueError:  # more digits than int() converts
+            return False
+        us, vs = ends[::2], ends[1::2]
+        if not (all(map(lt, us, vs)) and max(vs) < self.n):
+            return False
+        adj = self.adj
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        return True
+
+    def _edge(self, fields: list[str]) -> FileFormatError | None:
+        """Add the edge of one line's fields, or return its error."""
+        if len(fields) != 2:
+            return FileFormatError(self.path, self.line_no, "edge line must be 'u v'")
+        try:
+            u, v = self.ids[fields[0]], self.ids[fields[1]]
+        except ValueError:
+            return FileFormatError(
+                self.path, self.line_no, "edge endpoints must be integers"
+            )
+        if not 0 <= u < v < self.n:
+            return FileFormatError(
+                self.path, self.line_no, f"need 0 <= u < v < {self.n}"
+            )
+        self.adj[u].append(v)
+        self.adj[v].append(u)
+        return None
+
+
+def _first_duplicate(path: str) -> FileFormatError:
+    """The error for the first edge line that repeats an earlier edge, read
+    again from the file. Every edge line before it must be good."""
+    seen: set[tuple[int, int]] = set()
+    with open(path, "r", encoding="ascii") as handle:
+        records = _records(handle)
+        next(records)  # the header
+        for line_no, (u, v) in records:
+            edge = int(u), int(v)
+            if edge in seen:
+                message = f"duplicate edge {edge[0]} {edge[1]}"
+                return FileFormatError(path, line_no, message)
+            seen.add(edge)
+    raise AssertionError(f"{path} has no duplicate edge")
 
 
 class _VertexIds(dict):
@@ -119,7 +228,7 @@ class _VertexIds(dict):
     equal ids share one ``int`` however they are written."""
 
     def __missing__(self, token: str) -> int:
-        v = int(token)
+        v = _integer(token)
         v = self[token] = self.setdefault(v, v)
         return v
 
@@ -128,6 +237,8 @@ def _parse_number(token: str) -> int | float | Fraction:
     """An ``int`` for an integer token, else the exact ``Fraction`` of a
     decimal token. A token that is not finite as a float (``nan``, ``inf``,
     ``1e400``) comes back as that float, for the caller to reject."""
+    if "_" in token:
+        raise ValueError(f"digit separator in {token!r}")
     try:
         return int(token)
     except ValueError:
@@ -156,10 +267,11 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
                 fields = line.split()
                 try:
                     v_text, w_text = fields
-                    v = int(v_text)
+                    v = int(v_text) if v_text.isdecimal() else -1
                 except ValueError:  # blank, comment or malformed: checked below
                     v = -1  # fails the range test before w_text is read
-                # Most lines list a new vertex with a plain integer weight.
+                # Most lines list a new vertex with a plain integer weight,
+                # both in plain digits; any other line is checked below.
                 if 0 <= v < n and w_text.isdecimal() and not listed[v]:
                     w = int(w_text)
                 else:
@@ -184,7 +296,7 @@ def _checked_weight(
         return None
     try:
         v_text, w_text = fields
-        v = int(v_text)
+        v = _integer(v_text)
         w = int(w_text) if w_text.isdecimal() else _parse_number(w_text)
     except ValueError:
         raise FileFormatError(path, line_no, "weight line must be 'v w'") from None

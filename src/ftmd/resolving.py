@@ -97,9 +97,14 @@ def is_2nr(g: Graph, r: VertexSet) -> bool:
     return first_low_h_pair(g, r) is None
 
 
-def _mask(vertices: Iterable[int]) -> int:
-    """Bitset of distinct vertex ids."""
-    return sum(1 << v for v in vertices)
+def _mask(positions: Iterable[int], width: int) -> int:
+    """Bitset of positions below ``width``, built as binary digits in
+    O(width + positions) time; a sum of powers of two would add a mask as
+    wide as the component once per position."""
+    digits = bytearray(b"0") * width
+    for p in positions:
+        digits[~p] = 49  # "1"; the last digit is bit 0
+    return int(digits, 2)
 
 
 def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
@@ -135,7 +140,8 @@ def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
     # Bit i stands for the i-th vertex of the mask's own component, so the
     # masks take O(sum of squared component sizes) bits, not O(n^2).
     pos = {v: i for comp in components for i, v in enumerate(comp)}
-    adj = [_mask(map(pos.__getitem__, nbrs)) for nbrs in g.adj]
+    width = {v: len(comp) for comp in components for v in comp}
+    adj = [_mask(map(pos.__getitem__, g.adj[v]), width[v]) for v in range(g.n)]
     for comp in components:
         full = (1 << len(comp)) - 1
         for u in comp:

@@ -1,6 +1,8 @@
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 import ftmd
 from ftmd import parse_cotree, realize, from_edges
+from ftmd import cli
 from ftmd.cli import format_weight, main
 
 
@@ -173,6 +176,10 @@ def test_solve_missing_file(capsys, tmp_path):
         ("2 1\n0 0\n", "0 <= u < v"),
         ("2 1\n0 5\n", "0 <= u < v"),
         ("2 1\n0 one\n", "integers"),
+        ("2 1_0\n", "integers"),
+        ("1_1 1\n0 1\n", "integers"),
+        ("11 1\n0 1_0\n", "integers"),
+        ("11 1\n0_1 5\n", "integers"),
     ],
 )
 def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
@@ -196,6 +203,10 @@ def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
         ("0 inf\n", "non-finite"),
         ("0 -Infinity\n", "non-finite"),
         ("0 1e400\n", "non-finite"),
+        ("0 1_000\n", "'v w'"),
+        ("0 2_0.5\n", "'v w'"),
+        ("0 1_0e1\n", "'v w'"),
+        ("0_1 1\n", "'v w'"),
     ],
 )
 def test_weight_file_parse_errors(capsys, tmp_path, k2_file, body, fragment):
@@ -302,6 +313,136 @@ def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file)
     weights = write_bytes(tmp_path, "w.txt", b"0 x\n# caf\xc3\xa9\n")
     code, _, err = run(capsys, ["solve", k2_file, "--weights", weights])
     assert code == 1 and "codec can't decode" in err
+
+
+def slice_test_lines(rng, n, count):
+    """``count`` distinct edges ``u v`` of ``n`` vertices, shuffled."""
+    edges = set()
+    while len(edges) < count:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return edges
+
+
+def line_by_line_copy(tmp_path, n, edges):
+    """The edges as a file whose every line is off the bulk path (a tab)."""
+    body = "".join(f"{u}\t{v}\n" for u, v in edges)
+    return write(tmp_path, "tabs.txt", f"{n} {len(edges)}\n{body}")
+
+
+@pytest.mark.parametrize("lead", [0, 1, 7, 4099])
+def test_edge_list_slices_match_line_by_line(tmp_path, lead):
+    # Over 64 KiB, so many slices; the leading comment moves where they cut.
+    rng = random.Random(lead)
+    n = 400
+    edges = slice_test_lines(rng, n, 30_000)
+    lines = [f"{u} {v}" for u, v in edges]
+    # Irregular lines in some slices, none in others.
+    for i in rng.sample(range(len(lines) // 2), 60):
+        u, v = edges[i]
+        odd = rng.choice(
+            (f"{u}\t{v}", f"+{u} {v}", f"{u} 00{v}", f" {u} {v} ", f"{u}  {v}")
+        )
+        lines[i] = rng.choice(("", "# note", "  ", "\t# x")) + "\n" + odd
+    text = f"#{'c' * lead}\n{n} {len(edges)}\n" + "\n".join(lines)
+    text = text.replace("\n", "\r\n", 3000)  # CRLF in the first slices only
+    graph = write_bytes(tmp_path, "g.txt", text.encode())  # no final newline
+    assert len(text) > max(2**16, 3 * cli._SLICE)
+    g = cli.read_edge_list(graph)
+    reference = from_edges(n, edges)
+    per_line = cli.read_edge_list(line_by_line_copy(tmp_path, n, edges))
+    assert g.adj == reference.adj == per_line.adj
+    sizes = sum(map(sys.getsizeof, g.adj))
+    assert sizes == sum(map(sys.getsizeof, reference.adj))
+    assert sizes == sum(map(sys.getsizeof, per_line.adj))
+    # One int object per vertex id, however it is written.
+    assert len({id(v) for nbrs in g.adj for v in nbrs}) <= n
+
+
+def test_edge_list_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
+    # As in `ftmd gen` output, a long comment shares a slice with many edges.
+    edges = slice_test_lines(random.Random(9), 300, 14_000)
+    lines = [f"{u} {v}" for u, v in edges]
+    lines.insert(7_000, "")
+    lines.append("# cotree: " + "(U L0 L1) " * 300)
+    graph = write(tmp_path, "g.txt", f"300 {len(edges)}\n" + "\n".join(lines) + "\n")
+    calls = []
+    line_by_line = cli._EdgeLines._edge
+
+    def counting(self, fields):
+        calls.append(fields)
+        return line_by_line(self, fields)
+
+    monkeypatch.setattr(cli._EdgeLines, "_edge", counting)
+    assert cli.read_edge_list(graph) == from_edges(300, edges)
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize(
+    "bad,at,message",
+    [
+        ("{u} {v}", 10_000, "duplicate edge {u} {v}"),
+        ("{v} {u}", 10_000, "need 0 <= u < v < 300"),
+        ("{u} {u}", 12_500, "need 0 <= u < v < 300"),
+        ("{u} 300", 10_000, "need 0 <= u < v < 300"),
+        ("{u} 3{v:03d}", 13_500, "need 0 <= u < v < 300"),
+        ("{u} x", 10_000, "edge endpoints must be integers"),
+        ("{u} 1_0", 10_000, "edge endpoints must be integers"),
+        ("{u} {v} 1", 10_000, "edge line must be 'u v'"),
+        ("{u} {v}", 10_000, "header announces 14000 edges, file has 14001"),
+    ],
+)
+def test_edge_list_errors_after_the_first_slice(capsys, tmp_path, bad, at, message):
+    rng = random.Random(at)
+    edges = slice_test_lines(rng, 300, 14_000)
+    u, v = edges[10]
+    lines = [f"{a} {b}" for a, b in edges]
+    lines.insert(at, bad.format(u=u, v=v))
+    m = len(edges) + ("announces" not in message)
+    graph = write(tmp_path, "g.txt", f"300 {m}\n" + "\n".join(lines) + "\n")
+    assert len("\n".join(lines[:at])) > cli._SLICE
+    line_no = 1 if "announces" in message else at + 2
+    code, _, err = run(capsys, ["solve", graph])
+    assert (code, err) == (1, f"error: {graph}:{line_no}: {message.format(u=u, v=v)}\n")
+
+
+@pytest.mark.parametrize("first,second", [(0, 1), (1, 0)])
+def test_edge_list_first_bad_line_wins_across_slices(capsys, tmp_path, first, second):
+    # A duplicate edge and a range error in different slices: the earlier
+    # line is reported, whichever of the two it is.
+    edges = slice_test_lines(random.Random(5), 300, 14_000)
+    u, v = edges[0]
+    bad = [f"{u} {v}", f"{u} 999"]
+    messages = [f"duplicate edge {u} {v}", "need 0 <= u < v < 300"]
+    lines = [f"{a} {b}" for a, b in edges]
+    lines.insert(12_500, bad[second])
+    lines.insert(10_000, bad[first])
+    graph = write(tmp_path, "g.txt", f"300 {len(lines)}\n" + "\n".join(lines) + "\n")
+    code, _, err = run(capsys, ["solve", graph])
+    assert (code, err) == (1, f"error: {graph}:10002: {messages[first]}\n")
+    # A decoding error in a later slice still comes first.
+    with open(graph, "ab") as handle:
+        handle.write(b"# caf\xc3\xa9\n")
+    code, _, err = run(capsys, ["solve", graph])
+    assert code == 1 and "codec can't decode" in err
+
+
+def test_edge_list_huge_header_costs_nothing_before_the_count(tmp_path):
+    rng = random.Random(3)
+    spread = [rng.randrange(10**6) for _ in range(2_000)]
+    edges = sorted({tuple(sorted(rng.sample(spread, 2))) for _ in range(12_000)})
+    body = "".join(f"{u} {v}\n" for u, v in edges)
+    graph = write(tmp_path, "g.txt", f"{10**6} {len(edges) + 1}\n{body}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.FileFormatError, match="header announces"):
+            cli.read_edge_list(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_check_yes(capsys, p3_file):
