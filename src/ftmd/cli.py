@@ -15,7 +15,7 @@ import math
 import sys
 from collections import defaultdict
 from operator import lt
-from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
@@ -49,33 +49,123 @@ def _finish_decoding(handle: TextIO) -> None:
         pass
 
 
-def _integer(token: str) -> int:
+def _number(token: str, decimal: bool = False) -> int | float | Fraction:
     """``int(token)``, except that the ``_`` digit separator that ``int``
-    accepts is a ``ValueError`` too."""
+    and ``float`` accept is a ``ValueError`` too.
+
+    With ``decimal``, a token that ``int`` refuses but ``float`` takes comes
+    back as its exact ``Fraction``, or as the float when that is not finite
+    (``nan``, ``inf``, ``1e400``), for the caller to reject. Plain digits
+    beyond ``int``'s digit limit stay a ``ValueError``.
+    """
     if "_" in token:
         raise ValueError(f"digit separator in {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        if not decimal or token.isdecimal():
+            raise
+    approx = float(token)
+    if not math.isfinite(approx):
+        return approx
+    # Imported here because it costs startup time and most weights are integers.
+    from fractions import Fraction
+
+    return Fraction(token)
 
 
-# Characters of an edge list read at a time. A slice's tokens are alive
-# together, as str objects of about 15 bytes per character of the slice, so
-# larger slices raise the peak of a small solve and read no faster.
+# Characters of a file read at a time. A slice's tokens are alive together,
+# as str objects of about 15 bytes per character of the slice, so larger
+# slices raise the peak of a small solve and read no faster.
 _SLICE = 1 << 14
 # A piece of a slice shorter than this is read line by line, not halved.
 _PIECE = 1 << 9
 _NOT_DIGITS = str.maketrans("", "", "0123456789")
 
 
+class _Lines:
+    """The lines after a header, read in order in whole-line pieces.
+
+    The file is read in slices of about ``_SLICE`` characters, each cut
+    after a newline. ``add`` takes the tokens of a piece of plain ``digits
+    space digits`` lines and adds all of their records, returning ``True``,
+    or adds none and returns ``False``. Any other piece is halved down to
+    ``_PIECE`` characters and then read line by line: ``check`` takes the
+    fields of a line that is neither blank nor a comment and adds its record
+    or returns its error message. So messages and line numbers do not
+    depend on where the slices fall.
+
+    ``count`` is the number of such lines, good or bad. ``error`` is the
+    first bad line's error; no record after it is added, only counted. A
+    decoding error anywhere in the file is raised while reading, before
+    the caller sees ``error``.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        line_no: int,
+        add: Callable[[list[str]], bool],
+        check: Callable[[list[str]], str | None],
+    ):
+        self.path = path
+        self.line_no = line_no  # of the last line read
+        self.count = 0
+        self.error: FileFormatError | None = None
+        self.add = add
+        self.check = check
+
+    def read(self, handle: TextIO) -> None:
+        """Read the rest of the file."""
+        while text := handle.read(_SLICE):
+            if text[-1] != "\n":
+                text += handle.readline()
+            self.read_piece(text)
+
+    def read_piece(self, text: str) -> None:
+        """Take the next whole lines of the file; only the file's last line
+        may lack its newline."""
+        newlines = text.count("\n")
+        # Exactly lines of digits, one space, digits: each line has one
+        # space, and two tokens per line means digits on both sides of it.
+        if text.translate(_NOT_DIGITS) == " \n" * newlines:
+            tokens = text.split()
+            if len(tokens) == 2 * newlines and (
+                self.error is not None or self.add(tokens)
+            ):
+                self.line_no += newlines
+                self.count += newlines
+                return
+        # Halve a long piece, so that a comment or one bad line sends only
+        # a short piece around it line by line.
+        half = len(text) // 2
+        cut = text.find("\n", half, -1) + 1 or text.rfind("\n", 0, half) + 1
+        if len(text) >= _PIECE and cut:
+            self.read_piece(text[:cut])
+            self.read_piece(text[cut:])
+            return
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        for line in lines:
+            self.line_no += 1
+            fields = line.split()
+            if fields and fields[0][0] != "#":
+                self.count += 1
+                if self.error is None and (message := self.check(fields)):
+                    self.error = FileFormatError(self.path, self.line_no, message)
+
+
 def read_edge_list(path: str) -> Graph:
     """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v.
 
-    After the header the file is read in slices of about ``_SLICE``
-    characters, each cut after a newline (``_EdgeLines``). A slice of plain
-    ``digits space digits`` lines is checked and added in bulk; any other
-    line, and every bad one, takes the line-by-line path, so messages and
-    line numbers do not depend on where the slices fall. A wrong edge count
-    is reported before any bad edge line, and a decoding error anywhere
-    before either.
+    The edge lines are read by ``_Lines``: slices of plain ``u v`` lines in
+    bulk, any other line by the line-by-line checks. Neighbour lists are
+    keyed by vertex as met, so that a header with a huge ``n`` costs nothing
+    before the edge count is checked, and equal ids share one ``int``
+    (``_VertexIds``). A wrong edge count is reported before any bad edge
+    line, a duplicate edge before any later bad line, and a decoding error
+    anywhere before all of them.
     """
     with open(path, "r", encoding="ascii") as handle:
         try:
@@ -85,18 +175,45 @@ def read_edge_list(path: str) -> Graph:
             if len(parts) != 2:
                 raise FileFormatError(path, header_no, "header must be 'n m'")
             try:
-                n, m = _integer(parts[0]), _integer(parts[1])
+                n, m = _number(parts[0]), _number(parts[1])
             except ValueError:
                 raise FileFormatError(
                     path, header_no, "header must be two integers"
                 ) from None
             if n < 0 or m < 0:
                 raise FileFormatError(path, header_no, "n and m must be non-negative")
-            edges = _EdgeLines(path, n, header_no)
-            while text := handle.read(_SLICE):
-                if text[-1] != "\n":
-                    text += handle.readline()
-                edges.read(text)
+            ids = _VertexIds()
+            # May hold a duplicate edge, found below by comparing sizes.
+            adj: defaultdict[int, list[int]] = defaultdict(list)
+
+            def add(tokens: list[str]) -> bool:
+                try:
+                    ends = list(map(ids.__getitem__, tokens))
+                except ValueError:  # more digits than int() converts
+                    return False
+                us, vs = ends[::2], ends[1::2]
+                if not (all(map(lt, us, vs)) and max(vs) < n):
+                    return False
+                for u, v in zip(us, vs):
+                    adj[u].append(v)
+                    adj[v].append(u)
+                return True
+
+            def check(fields: list[str]) -> str | None:
+                if len(fields) != 2:
+                    return "edge line must be 'u v'"
+                try:
+                    u, v = ids[fields[0]], ids[fields[1]]
+                except ValueError:
+                    return "edge endpoints must be integers"
+                if not 0 <= u < v < n:
+                    return f"need 0 <= u < v < {n}"
+                adj[u].append(v)
+                adj[v].append(u)
+                return None
+
+            edges = _Lines(path, header_no, add, check)
+            edges.read(handle)
             if edges.count != m:
                 raise FileFormatError(
                     path,
@@ -106,7 +223,6 @@ def read_edge_list(path: str) -> Graph:
         except FileFormatError:
             _finish_decoding(handle)
             raise
-    adj = edges.adj
     listed = sum(map(len, adj.values()))
     # Freezing a set, not the list, sizes each frozenset as the line-by-line
     # reader's sets did (from a list it can be twice as large); each list is
@@ -119,92 +235,6 @@ def read_edge_list(path: str) -> Graph:
         raise edges.error
     none: frozenset[int] = frozenset()
     return Graph._unchecked(n, tuple(rows.pop(v, none) for v in range(n)))
-
-
-class _EdgeLines:
-    """The edge lines of one file, read in order in whole-line pieces.
-
-    Neighbour lists are keyed by vertex as met, so that a header with a huge
-    ``n`` costs nothing before the edge count is checked. Lists may hold a
-    duplicate edge; the caller finds it by comparing sizes. ``error`` is the
-    first other bad line; no edge after it is added, only counted.
-    """
-
-    def __init__(self, path: str, n: int, line_no: int):
-        self.path = path
-        self.n = n
-        self.line_no = line_no  # of the last line read
-        self.count = 0  # edge lines, good or bad
-        self.error: FileFormatError | None = None
-        self.ids = _VertexIds()
-        self.adj: defaultdict[int, list[int]] = defaultdict(list)
-
-    def read(self, text: str) -> None:
-        """Take the next whole lines of the file; only the file's last line
-        may lack its newline."""
-        newlines = text.count("\n")
-        # Exactly lines of digits, one space, digits: each line has one
-        # space, and two tokens per line means digits on both sides of it.
-        if text.translate(_NOT_DIGITS) == " \n" * newlines:
-            tokens = text.split()
-            if len(tokens) == 2 * newlines and (
-                self.error is not None or self._add(tokens)
-            ):
-                self.line_no += newlines
-                self.count += newlines
-                return
-        # Halve a long piece, so that a comment or one bad line sends only
-        # a short piece around it line by line.
-        half = len(text) // 2
-        cut = text.find("\n", half, -1) + 1 or text.rfind("\n", 0, half) + 1
-        if len(text) >= _PIECE and cut:
-            self.read(text[:cut])
-            self.read(text[cut:])
-            return
-        lines = text.split("\n")
-        if not lines[-1]:
-            lines.pop()
-        for line in lines:
-            self.line_no += 1
-            fields = line.split()
-            if fields and fields[0][0] != "#":
-                self.count += 1
-                if self.error is None:
-                    self.error = self._edge(fields)
-
-    def _add(self, tokens: list[str]) -> bool:
-        """Add the edges of ``u v`` digit tokens if all are good; if any is
-        not, add none and return ``False``."""
-        try:
-            ends = list(map(self.ids.__getitem__, tokens))
-        except ValueError:  # more digits than int() converts
-            return False
-        us, vs = ends[::2], ends[1::2]
-        if not (all(map(lt, us, vs)) and max(vs) < self.n):
-            return False
-        adj = self.adj
-        for u, v in zip(us, vs):
-            adj[u].append(v)
-            adj[v].append(u)
-        return True
-
-    def _edge(self, fields: list[str]) -> FileFormatError | None:
-        """Add the edge of one line's fields, or return its error."""
-        if len(fields) != 2:
-            return FileFormatError(self.path, self.line_no, "edge line must be 'u v'")
-        try:
-            u, v = self.ids[fields[0]], self.ids[fields[1]]
-        except ValueError:
-            return FileFormatError(
-                self.path, self.line_no, "edge endpoints must be integers"
-            )
-        if not 0 <= u < v < self.n:
-            return FileFormatError(
-                self.path, self.line_no, f"need 0 <= u < v < {self.n}"
-            )
-        self.adj[u].append(v)
-        self.adj[v].append(u)
-        return None
 
 
 def _first_duplicate(path: str) -> FileFormatError:
@@ -228,28 +258,9 @@ class _VertexIds(dict):
     equal ids share one ``int`` however they are written."""
 
     def __missing__(self, token: str) -> int:
-        v = _integer(token)
+        v = _number(token)
         v = self[token] = self.setdefault(v, v)
         return v
-
-
-def _parse_number(token: str) -> int | float | Fraction:
-    """An ``int`` for an integer token, else the exact ``Fraction`` of a
-    decimal token. A token that is not finite as a float (``nan``, ``inf``,
-    ``1e400``) comes back as that float, for the caller to reject."""
-    if "_" in token:
-        raise ValueError(f"digit separator in {token!r}")
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    approx = float(token)
-    if not math.isfinite(approx):
-        return approx
-    # Imported here because it costs startup time and most weights are integers.
-    from fractions import Fraction
-
-    return Fraction(token)
 
 
 def read_weights(path: str, n: int) -> list[int | Fraction]:
@@ -257,58 +268,51 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
 
     Integer weights stay ``int``; any other decimal is read exactly as a
     ``Fraction``, so sums and comparisons in the solver carry no rounding.
-    The file is streamed; the first bad line is reported.
+    The lines are read by ``_Lines``: slices of plain ``v w`` lines in bulk,
+    any other line by the line-by-line checks. The first bad line is
+    reported, with the first of its format, range, repeat, non-finite and
+    negative errors; a decoding error anywhere comes before it.
     """
     weights: list[int | Fraction] = [1] * n
     listed = bytearray(n)
-    with open(path, "r", encoding="ascii") as handle:
+
+    def add(tokens: list[str]) -> bool:
         try:
-            for line_no, line in enumerate(handle, 1):
-                fields = line.split()
-                try:
-                    v_text, w_text = fields
-                    v = int(v_text) if v_text.isdecimal() else -1
-                except ValueError:  # blank, comment or malformed: checked below
-                    v = -1  # fails the range test before w_text is read
-                # Most lines list a new vertex with a plain integer weight,
-                # both in plain digits; any other line is checked below.
-                if 0 <= v < n and w_text.isdecimal() and not listed[v]:
-                    w = int(w_text)
-                else:
-                    checked = _checked_weight(path, line_no, fields, n, listed)
-                    if checked is None:
-                        continue
-                    v, w = checked
-                listed[v] = 1
-                weights[v] = w
-        except FileFormatError:
-            _finish_decoding(handle)
-            raise
-    return weights
+            vs = list(map(int, tokens[::2]))
+            ws = list(map(int, tokens[1::2]))
+        except ValueError:  # more digits than int() converts
+            return False
+        if max(vs) >= n or len(set(vs)) < len(vs) or any(map(listed.__getitem__, vs)):
+            return False
+        for v, w in zip(vs, ws):
+            weights[v] = w
+            listed[v] = 1
+        return True
 
-
-def _checked_weight(
-    path: str, line_no: int, fields: list[str], n: int, listed: bytearray
-) -> tuple[int, int | float | Fraction] | None:
-    """Vertex and weight of any line of a weight file; ``None`` for a blank
-    or comment line. Raises the first of its format errors."""
-    if not fields or fields[0][0] == "#":
+    def check(fields: list[str]) -> str | None:
+        try:
+            v_text, w_text = fields
+            v, w = _number(v_text), _number(w_text, decimal=True)
+        except ValueError:
+            return "weight line must be 'v w'"
+        if not 0 <= v < n:
+            return f"vertex {v} out of range for n={n}"
+        if listed[v]:
+            return f"vertex {v} listed twice"
+        if isinstance(w, float):  # only a non-finite weight is a float
+            return f"non-finite weight for vertex {v}"
+        if w < 0:
+            return f"negative weight for vertex {v}"
+        weights[v] = w
+        listed[v] = 1
         return None
-    try:
-        v_text, w_text = fields
-        v = _integer(v_text)
-        w = int(w_text) if w_text.isdecimal() else _parse_number(w_text)
-    except ValueError:
-        raise FileFormatError(path, line_no, "weight line must be 'v w'") from None
-    if not 0 <= v < n:
-        raise FileFormatError(path, line_no, f"vertex {v} out of range for n={n}")
-    if listed[v]:
-        raise FileFormatError(path, line_no, f"vertex {v} listed twice")
-    if isinstance(w, float) and not math.isfinite(w):
-        raise FileFormatError(path, line_no, f"non-finite weight for vertex {v}")
-    if w < 0:
-        raise FileFormatError(path, line_no, f"negative weight for vertex {v}")
-    return v, w
+
+    with open(path, "r", encoding="ascii") as handle:
+        lines = _Lines(path, 0, add, check)
+        lines.read(handle)
+    if lines.error is not None:
+        raise lines.error
+    return weights
 
 
 def format_weight(w: int | Fraction) -> str:

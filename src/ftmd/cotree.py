@@ -337,7 +337,9 @@ def build_cotree(g: Graph) -> Cotree:
     if n == 0:
         raise EmptyGraphError("cannot build a cotree for the empty graph")
     rng = random.Random(_CODE_SEED)
-    code = [rng.getrandbits(64) | 1 for _ in range(n)]
+    # At most n codes below 2**(62 - n.bit_length()) sum to less than 2**62,
+    # so every code sum stays on sum()'s fast path for machine integers.
+    code = [rng.getrandbits(62 - n.bit_length()) | 1 for _ in range(n)]
     adj = g.adj
     dead: set[int] = set()
     # Code sum over the live neighbours; a true-twin key adds the own code.
@@ -598,7 +600,7 @@ def parse_cotree(text: str) -> Cotree:
                 raise ValueError(f"bad token {tok!r}")
             try:
                 labels.append(int(digits))
-            except OverflowError:
+            except (OverflowError, ValueError):  # ValueError: int()'s digit limit
                 raise ValueError(f"leaf label {tok!r} out of range") from None
             kinds.append(LEAF)
             done += 1

@@ -180,6 +180,7 @@ def test_solve_missing_file(capsys, tmp_path):
         ("1_1 1\n0 1\n", "integers"),
         ("11 1\n0 1_0\n", "integers"),
         ("11 1\n0_1 5\n", "integers"),
+        pytest.param(f"2 1\n0 {'1' * 5000}\n", "integers", id="5000-digit endpoint"),
     ],
 )
 def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
@@ -207,6 +208,9 @@ def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
         ("0 2_0.5\n", "'v w'"),
         ("0 1_0e1\n", "'v w'"),
         ("0_1 1\n", "'v w'"),
+        pytest.param(
+            f"0 {'1' * 5000}\n", "1: weight line must be 'v w'", id="5000-digit weight"
+        ),
     ],
 )
 def test_weight_file_parse_errors(capsys, tmp_path, k2_file, body, fragment):
@@ -294,7 +298,7 @@ def test_cli_import_skips_dataclasses_and_bench():
     src = Path(ftmd.__file__).resolve().parent.parent
     code = (
         "import sys; import ftmd.cli; "
-        "print(sorted({'dataclasses', 'ftmd.bench'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'fractions', 'ftmd.bench'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -361,6 +365,23 @@ def test_edge_list_slices_match_line_by_line(tmp_path, lead):
     assert len({id(v) for nbrs in g.adj for v in nbrs}) <= n
 
 
+def count_line_by_line(monkeypatch):
+    """A list that records the fields of every line that the shared reader
+    sends to its per-line check."""
+    calls = []
+
+    class Counting(cli._Lines):
+        def __init__(self, path, line_no, add, check):
+            def counting(fields):
+                calls.append(fields)
+                return check(fields)
+
+            super().__init__(path, line_no, add, counting)
+
+    monkeypatch.setattr(cli, "_Lines", Counting)
+    return calls
+
+
 def test_edge_list_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
     # As in `ftmd gen` output, a long comment shares a slice with many edges.
     edges = slice_test_lines(random.Random(9), 300, 14_000)
@@ -368,14 +389,7 @@ def test_edge_list_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
     lines.insert(7_000, "")
     lines.append("# cotree: " + "(U L0 L1) " * 300)
     graph = write(tmp_path, "g.txt", f"300 {len(edges)}\n" + "\n".join(lines) + "\n")
-    calls = []
-    line_by_line = cli._EdgeLines._edge
-
-    def counting(self, fields):
-        calls.append(fields)
-        return line_by_line(self, fields)
-
-    monkeypatch.setattr(cli._EdgeLines, "_edge", counting)
+    calls = count_line_by_line(monkeypatch)
     assert cli.read_edge_list(graph) == from_edges(300, edges)
     assert len(calls) < 200
 
@@ -443,6 +457,133 @@ def test_edge_list_huge_header_costs_nothing_before_the_count(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def weight_test_lines(rng, n, count):
+    """``count`` distinct vertices of ``n``, shuffled, each with an integer
+    weight."""
+    return [(v, rng.randrange(10**6)) for v in rng.sample(range(n), count)]
+
+
+@pytest.mark.parametrize("lead", [0, 1, 7, 4099])
+def test_weight_file_slices_match_line_by_line(tmp_path, lead):
+    # Over 3 slices; the leading comment moves where they cut.
+    rng = random.Random(lead)
+    n = 20_000
+    pairs = weight_test_lines(rng, n, n - 500)  # 500 vertices keep weight 1
+    texts = [str(w) for _, w in pairs]
+    for i in rng.sample(range(len(texts)), 40):
+        texts[i] += rng.choice((".5", ".25", ".125", ".0"))
+    lines = [f"{v} {w}" for (v, _), w in zip(pairs, texts)]
+    # Irregular lines in some slices, none in others.
+    for i in rng.sample(range(len(lines) // 2), 60):
+        v, w = pairs[i][0], texts[i]
+        odd = rng.choice(
+            (f"{v}\t{w}", f"+{v} {w}", f"{v} 00{w}", f" {v} {w} ", f"{v}  {w}")
+        )
+        lines[i] = rng.choice(("", "# note", "  ", "\t# x")) + "\n" + odd
+    text = f"#{'c' * lead}\n" + "\n".join(lines)
+    text = text.replace("\n", "\r\n", 3000)  # CRLF in the first slices only
+    weights = write_bytes(tmp_path, "w.txt", text.encode())  # no final newline
+    assert len(text) > 3 * cli._SLICE
+    expected = [1] * n
+    for (v, _), w in zip(pairs, texts):
+        expected[v] = Fraction(w) if "." in w else int(w)
+    body = "".join(f"{v}\t{w}\n" for (v, _), w in zip(pairs, texts))
+    tabs = write(tmp_path, "tabs.txt", body)  # every line off the bulk path
+    got = cli.read_weights(weights, n)
+    assert got == expected == cli.read_weights(tabs, n)
+    # Integer weights stay int, in bulk and line by line alike.
+    assert list(map(type, got)) == list(map(type, expected))
+
+
+def test_weight_file_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
+    pairs = weight_test_lines(random.Random(9), 14_000, 14_000)
+    lines = [f"{v} {w}" for v, w in pairs]
+    lines[3_000] += ".5"
+    lines.insert(7_000, "# " + "note " * 600)
+    weights = write(tmp_path, "w.txt", "\n".join(lines) + "\n")
+    calls = count_line_by_line(monkeypatch)
+    expected = [0] * 14_000
+    for v, w in pairs:
+        expected[v] = w
+    expected[pairs[3_000][0]] += Fraction(1, 2)
+    assert cli.read_weights(weights, 14_000) == expected
+    assert len(calls) < 200
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("{v} 5", "vertex {v} listed twice"),
+        ("{r} 5", "vertex {r} listed twice"),
+        ("20000 5", "vertex 20000 out of range for n=20000"),
+        ("{u} x", "weight line must be 'v w'"),
+        ("{u} 1_0", "weight line must be 'v w'"),
+        ("{u} 5 1", "weight line must be 'v w'"),
+        ("{u} " + "1" * 5000, "weight line must be 'v w'"),
+        ("{u} inf", "non-finite weight for vertex {u}"),
+        ("{u} -7", "negative weight for vertex {u}"),
+    ],
+)
+def test_weight_file_errors_after_the_first_slice(tmp_path, bad, message):
+    # Vertex u is listed nowhere else, v on line 11, r on line 9,991 (in
+    # the same slice as line 10,001).
+    pairs = weight_test_lines(random.Random(4), 20_000, 19_000)
+    u = min(set(range(20_000)) - {v for v, _ in pairs})
+    v, r = pairs[10][0], pairs[9_990][0]
+    lines = [f"{a} {w}" for a, w in pairs]
+    lines.insert(10_000, bad.format(u=u, v=v, r=r))
+    weights = write(tmp_path, "w.txt", "\n".join(lines) + "\n")
+    assert len("\n".join(lines[:10_000])) > cli._SLICE
+    with pytest.raises(cli.FileFormatError) as exc:
+        cli.read_weights(weights, 20_000)
+    assert str(exc.value) == f"{weights}:10001: {message.format(u=u, v=v, r=r)}"
+
+
+@pytest.mark.parametrize("first,second", [(0, 1), (1, 0)])
+def test_weight_file_first_bad_line_wins_across_slices(capsys, tmp_path, first, second):
+    # A repeated vertex and a range error in different slices: the earlier
+    # line is reported, whichever of the two it is.
+    pairs = weight_test_lines(random.Random(6), 20_000, 14_000)
+    v = pairs[0][0]
+    bad = [f"{v} 3", "20000 3"]
+    messages = [f"vertex {v} listed twice", "vertex 20000 out of range for n=20000"]
+    lines = [f"{a} {w}" for a, w in pairs]
+    lines.insert(12_500, bad[second])
+    lines.insert(10_000, bad[first])
+    weights = write(tmp_path, "w.txt", "\n".join(lines) + "\n")
+    graph = write(tmp_path, "g.txt", "20000 0\n")
+    code, _, err = run(capsys, ["solve", graph, "--weights", weights])
+    assert (code, err) == (1, f"error: {weights}:10001: {messages[first]}\n")
+    # A decoding error in a later slice still comes first.
+    with open(weights, "ab") as handle:
+        handle.write(b"# caf\xc3\xa9\n")
+    code, _, err = run(capsys, ["solve", graph, "--weights", weights])
+    assert code == 1 and "codec can't decode" in err
+
+
+def test_integer_weights_leave_fractions_unimported(tmp_path):
+    # The lazy import of fractions saves startup time on integer weights.
+    src = Path(ftmd.__file__).resolve().parent.parent
+    for body, weights, imported in [
+        ("0 3\n# c\n+1 4\n 2 007\n", [3, 4, 7], False),
+        ("0 3\n1 2.5\n", [3, "5/2", 1], True),
+    ]:
+        path = write(tmp_path, "w.txt", body)
+        code = (
+            "import sys; from ftmd import cli; "
+            f"print(list(map(str, cli.read_weights({path!r}, 3))), "
+            "'fractions' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == f"{list(map(str, weights))} {imported}\n"
 
 
 def test_check_yes(capsys, p3_file):

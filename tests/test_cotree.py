@@ -428,10 +428,12 @@ PARSE_ERRORS = {
     "L": "bad token 'L'",
     "L1a": "bad token 'L1a'",
     "(C L-1)": "bad token 'L-1'",
+    # More digits than int() converts.
+    "L" + "1" * 5000: f"leaf label 'L{'1' * 5000}' out of range",
 }
 
 
-@pytest.mark.parametrize("text", list(PARSE_ERRORS))
+@pytest.mark.parametrize("text", list(PARSE_ERRORS), ids=lambda text: text[:20])
 def test_parse_rejects_bad_input(text):
     with pytest.raises(ValueError) as exc:
         parse_cotree(text)
