@@ -2,13 +2,16 @@
 """Count total and code lines of Python files.
 
 A code line is one that is not blank, not a ``#`` comment and not inside a
-module, class or function docstring. Prints one line per file and a sum:
+module, class or function docstring. A directory stands for the ``*.py``
+files directly in it, in sorted order. Prints one line per file and a sum:
 
     python3 scripts/code_lines.py src/ftmd/*.py
+    python3 scripts/code_lines.py src/ftmd
 """
 
 import ast
 import sys
+from pathlib import Path
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -36,8 +39,16 @@ def count(text: str) -> tuple[int, int]:
     return len(lines), code
 
 
+def python_files(arg: str) -> list[str]:
+    """The ``*.py`` files directly in a directory, sorted, or else ``arg``."""
+    if Path(arg).is_dir():
+        return sorted(map(str, Path(arg).glob("*.py")))
+    return [arg]
+
+
 def main(argv: list[str] | None = None) -> int:
-    paths = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else argv
+    paths = [path for arg in args for path in python_files(arg)]
     total = code = 0
     for path in paths:
         with open(path, encoding="utf-8") as f:

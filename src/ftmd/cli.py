@@ -11,11 +11,12 @@ Exit codes: 0 success / YES, 1 I/O, parse or usage error, 2 not a cograph,
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import sys
 from collections import defaultdict
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
@@ -31,22 +32,6 @@ if TYPE_CHECKING:
 class FileFormatError(Exception):
     def __init__(self, path: str, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")
-
-
-def _records(handle: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Line number and fields of every line that is neither blank nor a
-    comment, one line at a time."""
-    for line_no, line in enumerate(handle, 1):
-        fields = line.split()
-        if fields and fields[0][0] != "#":
-            yield line_no, fields
-
-
-def _finish_decoding(handle: TextIO) -> None:
-    """Decode the rest of a file before a format error in it is reported,
-    so that a decoding error anywhere in the file takes precedence."""
-    for _ in handle:
-        pass
 
 
 def _number(token: str, decimal: bool = False) -> int | float | Fraction:
@@ -84,16 +69,17 @@ _NOT_DIGITS = str.maketrans("", "", "0123456789")
 
 
 class _Lines:
-    """The lines after a header, read in order in whole-line pieces.
+    """The records of a file, read in order in whole-line pieces.
 
-    The file is read in slices of about ``_SLICE`` characters, each cut
-    after a newline. ``add`` takes the tokens of a piece of plain ``digits
-    space digits`` lines and adds all of their records, returning ``True``,
-    or adds none and returns ``False``. Any other piece is halved down to
-    ``_PIECE`` characters and then read line by line: ``check`` takes the
-    fields of a line that is neither blank nor a comment and adds its record
-    or returns its error message. So messages and line numbers do not
-    depend on where the slices fall.
+    The file is read in slices of about ``_SLICE`` characters (``_PIECE``
+    until the first record), each cut after a newline. ``add`` takes the
+    tokens of a piece of plain ``digits space digits`` lines and adds all of
+    their records, returning ``True``, or adds none and returns ``False``.
+    Any other piece is halved down to ``_PIECE`` characters and then read
+    line by line: ``check`` takes the fields of a line that is neither blank
+    nor a comment, a header too, and adds its record or returns its error
+    message. So messages and line numbers do not depend on where the slices
+    fall.
 
     ``count`` is the number of such lines, good or bad. ``error`` is the
     first bad line's error; no record after it is added, only counted. A
@@ -104,12 +90,11 @@ class _Lines:
     def __init__(
         self,
         path: str,
-        line_no: int,
         add: Callable[[list[str]], bool],
         check: Callable[[list[str]], str | None],
     ):
         self.path = path
-        self.line_no = line_no  # of the last line read
+        self.line_no = 0  # of the last line read
         self.count = 0
         self.error: FileFormatError | None = None
         self.add = add
@@ -117,7 +102,9 @@ class _Lines:
 
     def read(self, handle: TextIO) -> None:
         """Read the rest of the file."""
-        while text := handle.read(_SLICE):
+        # Short pieces until the first record, so that a header, which the
+        # bulk adder may refuse, does not send a whole slice to be halved.
+        while text := handle.read(_SLICE if self.count else _PIECE):
             if text[-1] != "\n":
                 text += handle.readline()
             self.read_piece(text)
@@ -159,98 +146,107 @@ class _Lines:
 def read_edge_list(path: str) -> Graph:
     """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v.
 
-    The edge lines are read by ``_Lines``: slices of plain ``u v`` lines in
-    bulk, any other line by the line-by-line checks. Neighbour lists are
-    keyed by vertex as met, so that a header with a huge ``n`` costs nothing
-    before the edge count is checked, and equal ids share one ``int``
-    (``_VertexIds``). A wrong edge count is reported before any bad edge
-    line, a duplicate edge before any later bad line, and a decoding error
-    anywhere before all of them.
+    The file is opened once and read by ``_Lines``: the header and any
+    other irregular line by the line-by-line checks, slices of plain ``u v``
+    lines in bulk once the header is known. Neighbour lists are keyed by
+    vertex as met, so that a header with a huge ``n`` costs nothing before
+    the edge count is checked, and equal ids share one ``int``
+    (``_VertexIds``). A bad header is reported before a wrong edge count, a
+    wrong edge count before any bad edge line, a duplicate edge before any
+    later bad line, and a decoding error anywhere before all of them. Only a
+    duplicate edge needs a second reading, from the start of the same
+    handle; input that cannot seek, such as a pipe, is read into memory
+    first so that it can be read again.
     """
-    with open(path, "r", encoding="ascii") as handle:
+    n = m = header_no = -1  # until the header is read
+    ids = _VertexIds()
+    # May hold a duplicate edge, found below by comparing sizes.
+    adj: defaultdict[int, list[int]] = defaultdict(list)
+
+    def add(tokens: list[str]) -> bool:
+        if n < 0:  # the header is checked line by line
+            return False
         try:
-            header_no, parts = next(_records(handle), (1, None))
-            if parts is None:
-                raise FileFormatError(path, 1, "missing 'n m' header line")
-            if len(parts) != 2:
-                raise FileFormatError(path, header_no, "header must be 'n m'")
+            ends = list(map(ids.__getitem__, tokens))
+        except ValueError:  # more digits than int() converts
+            return False
+        us, vs = ends[::2], ends[1::2]
+        if not (all(map(lt, us, vs)) and max(vs) < n):
+            return False
+        for u, v in zip(us, vs):
+            adj[u].append(v)
+            adj[v].append(u)
+        return True
+
+    def check(fields: list[str]) -> str | None:
+        nonlocal n, m, header_no
+        if n < 0:  # the first record; none follows a bad header
+            header_no = lines.line_no
+            if len(fields) != 2:
+                return "header must be 'n m'"
             try:
-                n, m = _number(parts[0]), _number(parts[1])
+                counts = _number(fields[0]), _number(fields[1])
             except ValueError:
-                raise FileFormatError(
-                    path, header_no, "header must be two integers"
-                ) from None
-            if n < 0 or m < 0:
-                raise FileFormatError(path, header_no, "n and m must be non-negative")
-            ids = _VertexIds()
-            # May hold a duplicate edge, found below by comparing sizes.
-            adj: defaultdict[int, list[int]] = defaultdict(list)
+                return "header must be two integers"
+            if min(counts) < 0:
+                return "n and m must be non-negative"
+            n, m = counts
+            return None
+        if len(fields) != 2:
+            return "edge line must be 'u v'"
+        try:
+            u, v = ids[fields[0]], ids[fields[1]]
+        except ValueError:
+            return "edge endpoints must be integers"
+        if not 0 <= u < v < n:
+            return f"need 0 <= u < v < {n}"
+        adj[u].append(v)
+        adj[v].append(u)
+        return None
 
-            def add(tokens: list[str]) -> bool:
-                try:
-                    ends = list(map(ids.__getitem__, tokens))
-                except ValueError:  # more digits than int() converts
-                    return False
-                us, vs = ends[::2], ends[1::2]
-                if not (all(map(lt, us, vs)) and max(vs) < n):
-                    return False
-                for u, v in zip(us, vs):
-                    adj[u].append(v)
-                    adj[v].append(u)
-                return True
-
-            def check(fields: list[str]) -> str | None:
-                if len(fields) != 2:
-                    return "edge line must be 'u v'"
-                try:
-                    u, v = ids[fields[0]], ids[fields[1]]
-                except ValueError:
-                    return "edge endpoints must be integers"
-                if not 0 <= u < v < n:
-                    return f"need 0 <= u < v < {n}"
-                adj[u].append(v)
-                adj[v].append(u)
-                return None
-
-            edges = _Lines(path, header_no, add, check)
-            edges.read(handle)
-            if edges.count != m:
-                raise FileFormatError(
-                    path,
-                    header_no,
-                    f"header announces {m} edges, file has {edges.count}",
-                )
-        except FileFormatError:
-            _finish_decoding(handle)
-            raise
-    listed = sum(map(len, adj.values()))
-    # Freezing a set, not the list, sizes each frozenset as the line-by-line
-    # reader's sets did (from a list it can be twice as large); each list is
-    # freed as soon as it is frozen.
-    rows = {v: frozenset(set(adj.pop(v))) for v in list(adj)}
-    if sum(map(len, rows.values())) != listed:
-        # Every edge listed comes before the first other bad line.
-        raise _first_duplicate(path)
-    if edges.error is not None:
-        raise edges.error
+    with open(path, "r", encoding="ascii") as handle:
+        if not handle.seekable():
+            handle = io.StringIO(handle.read())
+        lines = _Lines(path, add, check)
+        lines.read(handle)
+        if n < 0:  # no header, or a bad one
+            raise lines.error or FileFormatError(path, 1, "missing 'n m' header line")
+        edges = lines.count - 1
+        if edges != m:
+            message = f"header announces {m} edges, file has {edges}"
+            raise FileFormatError(path, header_no, message)
+        listed = sum(map(len, adj.values()))
+        # Freezing a set, not the list, sizes each frozenset as the
+        # line-by-line reader's sets did (from a list it can be twice as
+        # large); each list is freed as soon as it is frozen.
+        rows = {v: frozenset(set(adj.pop(v))) for v in list(adj)}
+        if sum(map(len, rows.values())) != listed:
+            # Every edge listed comes before the first other bad line.
+            raise _first_duplicate(path, handle, ids)
+    if lines.error is not None:
+        raise lines.error
     none: frozenset[int] = frozenset()
     return Graph._unchecked(n, tuple(rows.pop(v, none) for v in range(n)))
 
 
-def _first_duplicate(path: str) -> FileFormatError:
+def _first_duplicate(path: str, handle: TextIO, ids: _VertexIds) -> FileFormatError:
     """The error for the first edge line that repeats an earlier edge, read
-    again from the file. Every edge line before it must be good."""
+    again from the start of ``handle`` with the ids of the first reading.
+    Every edge line before it must be good."""
+    # The header's pair (n, m) goes in too; it is no edge, as ends are below n.
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="ascii") as handle:
-        records = _records(handle)
-        next(records)  # the header
-        for line_no, (u, v) in records:
-            edge = int(u), int(v)
-            if edge in seen:
-                message = f"duplicate edge {edge[0]} {edge[1]}"
-                return FileFormatError(path, line_no, message)
-            seen.add(edge)
-    raise AssertionError(f"{path} has no duplicate edge")
+
+    def check(fields: list[str]) -> str | None:
+        edge = ids[fields[0]], ids[fields[1]]
+        if edge in seen:
+            return f"duplicate edge {edge[0]} {edge[1]}"
+        seen.add(edge)
+        return None
+
+    handle.seek(0)
+    lines = _Lines(path, lambda tokens: False, check)
+    lines.read(handle)
+    return lines.error
 
 
 class _VertexIds(dict):
@@ -308,7 +304,7 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
         return None
 
     with open(path, "r", encoding="ascii") as handle:
-        lines = _Lines(path, 0, add, check)
+        lines = _Lines(path, add, check)
         lines.read(handle)
     if lines.error is not None:
         raise lines.error

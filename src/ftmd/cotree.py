@@ -374,8 +374,6 @@ def build_cotree(g: Graph) -> Cotree:
         while len(members) > 1:
             a, rest, absorbed = members[0], [], []
             for b in members[1:]:
-                if b == a or b in dead:
-                    continue
                 if not twins(kind, a, b):
                     rest.append(b)  # a hash collision
                     continue

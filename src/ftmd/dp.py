@@ -296,21 +296,16 @@ def dp_run(
 
 def entry_vertices(entry: TableEntry) -> frozenset[int]:
     """Materialize the vertex set behind an entry by following its
-    back-pointers; linear in the output. Leaf entries are read where they
-    are met, never pushed."""
+    back-pointers; linear in the output."""
     left, right = entry.left, entry.right
-    e = entry.id
-    if right[e] < 0:  # a chosen leaf or the empty set
-        return frozenset([left[e]] if e != _EMPTY else [])
     out: list[int] = []
-    stack = [e]
+    stack = [entry.id]
     while stack:
         e = stack.pop()
-        for side in (left[e], right[e]):
-            if right[side] >= 0:
-                stack.append(side)
-            elif side != _EMPTY:
-                out.append(left[side])
+        if right[e] >= 0:  # a union entry
+            stack += left[e], right[e]
+        elif e != _EMPTY:  # a chosen leaf
+            out.append(left[e])
     return frozenset(out)
 
 

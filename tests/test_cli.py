@@ -114,6 +114,18 @@ def test_solve_verify_names_the_failing_pair(capsys, monkeypatch, p3_file):
     )
 
 
+def test_solve_oracle_names_a_weight_mismatch(capsys, monkeypatch, p3_file):
+    original = cli.oracle_min_ft
+
+    def heavier(g, weights=None):
+        return original(g, weights)._replace(weight=Fraction(5, 2))
+
+    monkeypatch.setattr(cli, "oracle_min_ft", heavier)
+    code, out, err = run(capsys, ["solve", p3_file, "--oracle"])
+    assert (code, out) == (1, "2\n0 2\n")
+    assert err == "error: oracle weight 2.5 != solver weight 2\n"
+
+
 def test_solve_decimal_weights_are_exact(capsys, tmp_path):
     # As floats the solver summed 1.1 and the oracle 1.0999999999999999.
     graph = write(tmp_path, "k3.txt", "3 3\n0 1\n0 2\n1 2\n")
@@ -169,6 +181,8 @@ def test_solve_missing_file(capsys, tmp_path):
         ("", "header"),
         ("2\n", "header"),
         ("x y\n", "integers"),
+        ("-1 0\n", "n and m must be non-negative"),
+        ("2 -1\n", "n and m must be non-negative"),
         ("2 1\n", "announces"),
         ("2 1\n0 1\n0 1\n", "announces"),
         ("2 2\n0 1\n0 1\n", "duplicate"),
@@ -253,6 +267,7 @@ def test_indented_comment_lines_ignored(capsys, tmp_path):
         ("# c\n\n2 x\n", "3: header must be two integers"),
         ("# c\n\n2 1\n  # c\n0 5\n", "5: need 0 <= u < v < 2"),
         ("3 1\n\n# c\nx y\n0 1\n", "1: header announces 1 edges, file has 2"),
+        ("# c\n\n2 0\n0 1\n", "3: header announces 0 edges, file has 1"),
         ("3 3\n0 1\n\n0 x\n1 7\n", "4: edge endpoints must be integers"),
     ],
 )
@@ -308,6 +323,26 @@ def test_cli_import_skips_dataclasses_and_bench():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "body,out,err",
+    [
+        ("2 1\n0 1\n", "2\n0 1\n", ""),
+        ("2 2\n0 1\n0 1\n", "", "error: /dev/stdin:3: duplicate edge 0 1\n"),
+    ],
+)
+def test_edge_list_from_a_pipe(body, out, err):
+    # A pipe cannot seek, yet the duplicate search reads the input again.
+    src = Path(ftmd.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "ftmd.cli", "solve", "/dev/stdin"],
+        input=body,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (bool(err), out, err)
 
 
 def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file):
@@ -371,12 +406,12 @@ def count_line_by_line(monkeypatch):
     calls = []
 
     class Counting(cli._Lines):
-        def __init__(self, path, line_no, add, check):
+        def __init__(self, path, add, check):
             def counting(fields):
                 calls.append(fields)
                 return check(fields)
 
-            super().__init__(path, line_no, add, counting)
+            super().__init__(path, add, counting)
 
     monkeypatch.setattr(cli, "_Lines", Counting)
     return calls

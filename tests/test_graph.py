@@ -23,6 +23,8 @@ def test_constructor_rejects_asymmetry():
 def test_constructor_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph(2, (frozenset({5}), frozenset()))
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        Graph(-1, ())
 
 
 def test_graph_is_immutable_and_copies_are_validated():
