@@ -2,9 +2,10 @@
 """Fuzz the solver against the brute-force oracle on random weighted cographs.
 
 Each trial relabels its cograph by a random permutation, so vertex ids do
-not follow the generating cotree's left-to-right leaf order. It also flips
-one random vertex pair of the cograph; when ``build_cotree`` rejects the
-result, its witness must be an induced P4.
+not follow the generating cotree's left-to-right leaf order. It also solves
+the generating cotree itself with ``solve_cotree``, each leaf carrying its
+vertex's weight, and flips one random vertex pair of the cograph; when
+``build_cotree`` rejects the result, its witness must be an induced P4.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from ftmd import (
     random_cotree,
     realize,
     solve,
+    solve_cotree,
 )
 
 
@@ -41,19 +43,23 @@ def main(argv=None):
     mismatches = 0
     for trial in range(args.count):
         n = rng.randint(1, args.max_n)
-        g = realize(random_cotree(n, rng.randrange(2**31)))
+        tree = random_cotree(n, rng.randrange(2**31))
         ids = rng.sample(range(n), n)
-        g = from_edges(n, [(ids[u], ids[v]) for u, v in g.edges()])
+        g = from_edges(n, [(ids[u], ids[v]) for u, v in realize(tree).edges()])
         weights = [rng.randint(0, args.max_weight) for _ in range(n)]
         solution = solve(g, weights)
+        # Leaf v of the generating tree is vertex ids[v] of g.
+        tree_weight = solve_cotree(tree, [weights[ids[v]] for v in range(n)]).weight
         reference = oracle_min_ft(g, weights)
         bad_weight = solution.weight != reference.weight
+        bad_tree = tree_weight != reference.weight
         bad_cert = not is_fault_tolerant(g, set(solution.vertices))
-        if bad_weight or bad_cert:
+        if bad_weight or bad_tree or bad_cert:
             mismatches += 1
             print(f"MISMATCH trial={trial} n={n} edges={g.edges()} "
                   f"weights={weights} solver={solution.weight} "
-                  f"oracle={reference.weight} cert_ok={not bad_cert}")
+                  f"cotree={tree_weight} oracle={reference.weight} "
+                  f"cert_ok={not bad_cert}")
         if n < 2:
             continue
         u, v = sorted(rng.sample(range(n), 2))

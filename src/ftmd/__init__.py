@@ -24,10 +24,8 @@ from .resolving import is_fault_tolerant, weak_pair
 from .dp import (
     ComponentOutcome,
     Solution,
-    dp_run,
-    extract_connected_min,
-    finite_states,
     solve,
+    solve_cotree,
 )
 from .oracle import oracle_min_ft
 
@@ -44,9 +42,6 @@ __all__ = [
     "Union",
     "build_cotree",
     "complement_node",
-    "dp_run",
-    "extract_connected_min",
-    "finite_states",
     "format_cotree",
     "from_edges",
     "is_fault_tolerant",
@@ -55,6 +50,7 @@ __all__ = [
     "random_cotree",
     "realize",
     "solve",
+    "solve_cotree",
     "union_node",
     "weak_pair",
 ]

@@ -67,9 +67,11 @@ following back-pointers.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
-the weighted fault-tolerant metric dimension. Disconnected graphs are
-solved per component; isolated vertices all join the solution when there
-are at least two of them, and a single isolated vertex never does.
+the weighted fault-tolerant metric dimension. ``solve_cotree`` solves a
+disconnected graph per component; isolated vertices all join the solution
+when there are at least two of them, and a single isolated vertex never
+does. ``solve`` builds the cotree of a graph and hands it to
+``solve_cotree``.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from _thread import allocate_lock
 from array import array
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, UNION, Cotree, Leaf, build_cotree, check_labels, flat
+from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, check_labels, flat
 from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import weak_pair
@@ -247,6 +249,11 @@ def dp_run(
     every node's table is appended to it in post-order, with a view of the
     node. Raises ``ValueError`` when leaf labels repeat or fall outside
     ``range(len(weights))``.
+
+    The root table's cheapest entry is the fault-tolerant optimum only for
+    a connected tree. On a disconnected tree it is the cheapest set that
+    separates every pair twice in the neighbourhood sense, which can cost
+    more; ``solve_cotree`` solves such a tree per component.
     """
     check_labels(t, len(weights))
     kinds, labels = flat(t)
@@ -321,7 +328,10 @@ def finite_states(table: Table) -> dict[tuple[int, int, int, int], TableEntry]:
 def extract_connected_min(table: Table) -> tuple[Weight, frozenset[int]]:
     """Cheapest finite entry of a root table, with its vertex set.
 
-    Ties go to the lexicographically smallest flag tuple.
+    Ties go to the lexicographically smallest flag tuple. This is the
+    weighted fault-tolerant metric dimension only when the table's tree is
+    connected; on a disconnected tree it is the stricter twice-separated
+    optimum, so use ``solve_cotree`` there.
     """
     best = min(zip(table.weights, table.states, table.ids), default=None)
     if best is None:
@@ -372,16 +382,29 @@ class Solution(NamedTuple):
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
     """Minimum-weight fault-tolerant resolving set of a vertex-weighted cograph.
 
-    One cotree is built for the whole graph. The subtrees under its root's
-    union chain, left to right, are the connected components in ascending
-    order of their smallest vertex; the leaves among them are the isolated
-    vertices. Components with at least two vertices are solved
+    Checks the weights, builds one cotree for the whole graph and solves it
+    with ``solve_cotree``. Raises ``NotCographError`` if the graph is not a
+    cograph and ``EmptyGraphError`` for the empty graph.
+    """
+    if g.n == 0:
+        raise EmptyGraphError("the empty graph has no solution")
+    w = check_weights(g.n, weights)
+    return solve_cotree(build_cotree(g), w)
+
+
+def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solution:
+    """Minimum-weight fault-tolerant resolving set of the cograph that
+    ``tree`` realizes, whose n leaf labels must be exactly ``0 .. n-1``.
+
+    The subtrees under the root's union chain, left to right, are the
+    connected components; for a tree from ``build_cotree`` they come in
+    ascending order of their smallest vertex. A component with one leaf is
+    an isolated vertex. Components with at least two vertices are solved
     independently by the dynamic program. All isolated vertices are
     included when there are at least two of them; a single isolated vertex
     is excluded (the other components already separate it twice, and with
-    no other vertices the condition is vacuous). Raises ``NotCographError``
-    if the graph is not a cograph and ``EmptyGraphError`` for the empty
-    graph.
+    no other vertices the condition is vacuous). Raises ``ValueError`` when
+    the labels are not ``0 .. n-1`` or the weights are not n valid weights.
 
     Weights are summed and compared in their own arithmetic. ``int`` and
     ``fractions.Fraction`` weights (the CLI reads decimals as fractions)
@@ -389,17 +412,16 @@ def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
     summation order can change the last digits and, at large magnitudes,
     which of two nearly equal sets is cheaper.
     """
-    if g.n == 0:
-        raise EmptyGraphError("the empty graph has no solution")
-    w = check_weights(g, weights)
-    tree = build_cotree(g)
+    n = tree.leaves
+    w = check_weights(n, weights)
+    check_labels(tree, n)
     parts = root_components(tree)
-    include_isolated = sum(isinstance(part, Leaf) for part in parts) >= 2
+    include_isolated = sum(part.leaves == 1 for part in parts) >= 2
 
     outcomes = []
     for part in parts:
-        if isinstance(part, Leaf):
-            v = part.vertex
+        if part.leaves == 1:
+            (v,) = leaf_labels(part)
             if include_isolated:
                 outcomes.append(ComponentOutcome((v,), (v,), w[v], "isolated-included"))
             else:

@@ -87,17 +87,18 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph._unchecked(n, tuple(map(frozenset, adj)))
 
 
-def check_weights(g: Graph, weights: Sequence[Weight] | None) -> list[Weight]:
-    """One weight per vertex as a list; ``None`` stands for unit weights.
+def check_weights(n: int, weights: Sequence[Weight] | None) -> list[Weight]:
+    """One weight per vertex of an n-vertex graph as a list; ``None`` stands
+    for unit weights.
 
-    Raises ``ValueError`` when the count differs from ``g.n`` or a weight is
+    Raises ``ValueError`` when the count differs from ``n`` or a weight is
     a ``bool``, NaN, infinite or negative.
     """
     if weights is None:
-        return [1] * g.n
+        return [1] * n
     w = list(weights)
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
+    if len(w) != n:
+        raise ValueError(f"expected {n} weights, got {len(w)}")
     for v, x in enumerate(w):
         if isinstance(x, bool):
             raise ValueError(f"boolean weight {x} at vertex {v}")

@@ -93,13 +93,13 @@ def _min_weight_subset(
 def oracle_min_ft(g: Graph, weights: Sequence[Weight] | None = None) -> OracleResult:
     """Exhaustive minimum-weight fault-tolerant resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, check_weights(g, weights), _resolver_masks(g), 2)
+    return _min_weight_subset(g.n, check_weights(g.n, weights), _resolver_masks(g), 2)
 
 
 def oracle_min_2nr(g: Graph, weights: Sequence[Weight] | None = None) -> OracleResult:
     """Exhaustive minimum-weight 2-neighbourhood-resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, check_weights(g, weights), _h_support_masks(g), 2)
+    return _min_weight_subset(g.n, check_weights(g.n, weights), _h_support_masks(g), 2)
 
 
 def oracle_min_resolving(
@@ -107,4 +107,4 @@ def oracle_min_resolving(
 ) -> OracleResult:
     """Exhaustive minimum-weight resolving set (n <= 20)."""
     _guard(g)
-    return _min_weight_subset(g.n, check_weights(g, weights), _resolver_masks(g), 1)
+    return _min_weight_subset(g.n, check_weights(g.n, weights), _resolver_masks(g), 1)

@@ -11,8 +11,6 @@ from ftmd import (
     Leaf,
     NotCographError,
     build_cotree,
-    dp_run,
-    finite_states,
     from_edges,
     is_fault_tolerant,
     oracle_min_ft,
@@ -23,7 +21,7 @@ from ftmd import (
 from ftmd.graph import connected_components, disjoint_union
 from ftmd.cotree import leaf_count, leaf_labels
 from ftmd.resolving import is_2nr
-from ftmd.dp import entry_vertices
+from ftmd.dp import dp_run, entry_vertices, finite_states
 from ftmd.bench import doubling_ratios, run_scaling
 from reference_cotree import find_induced_p4
 from signatures import k_vertex_profile, state_signature

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -20,9 +21,6 @@ from ftmd import (
     Union,
     build_cotree,
     complement_node,
-    dp_run,
-    extract_connected_min,
-    finite_states,
     format_cotree,
     from_edges,
     is_fault_tolerant,
@@ -31,11 +29,14 @@ from ftmd import (
     random_cotree,
     realize,
     solve,
+    solve_cotree,
     union_node,
 )
 from ftmd.cotree import LEAF, UNION, _from_arrays, flat, leaf_count
+from ftmd.graph import disjoint_union
 from ftmd.resolving import is_2nr
-from ftmd.dp import entry_vertices, state_index, state_tuple
+from ftmd.dp import dp_run, entry_vertices, extract_connected_min, finite_states
+from ftmd.dp import state_index, state_tuple
 from ftmd.oracle import oracle_min_2nr
 from ftmd.cotree import root_components
 import ftmd.dp as dp_module
@@ -43,7 +44,7 @@ from ftmd.dp import Table
 from reference_dp import Entry, dp_complement, dp_leaf, dp_union
 import reference_dp
 from signatures import state_signature
-from strategies import enumerate_cotrees, relabel
+from strategies import component_with_forced_0_vertex, enumerate_cotrees, relabel
 
 
 def table_of(states):
@@ -399,6 +400,58 @@ def test_solve_matches_oracle_with_random_weights(n, seed, wseed):
     assert solution.verify(g)
 
 
+def test_solve_cotree_matches_solve_on_all_small_cotrees():
+    rng = random.Random(17)
+    for tree in enumerate_cotrees(6):
+        weights = [rng.randint(0, 5) for _ in range(leaf_count(tree))]
+        got = solve_cotree(tree, weights)
+        expected = solve(realize(tree), weights)
+        assert got.weight == expected.weight
+        assert sorted(o.vertices for o in got.components) == [
+            o.vertices for o in expected.components
+        ]
+
+
+def test_solve_cotree_on_parsed_trees_with_complemented_leaves_matches_oracle():
+    rng = random.Random(18)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        tree = relabel(random_cotree(n, rng.randrange(2**31)), rng.sample(range(n), n))
+        text = re.sub(
+            r"L\d+", lambda m: f"(C {m[0]})" if rng.random() < 0.3 else m[0], format_cotree(tree)
+        )
+        tree = parse_cotree(text)
+        weights = [rng.randint(0, 10) for _ in range(n)]
+        solution = solve_cotree(tree, weights)
+        g = realize(tree)
+        assert solution.weight == oracle_min_ft(g, weights).weight
+        assert solution.verify(g)
+
+
+def test_solve_cotree_solves_each_component():
+    # A complemented leaf is an isolated vertex like any other.
+    assert solve_cotree(parse_cotree("(U (C L0) L1)")).weight == 2
+    # The root minimum of a disconnected tree separates every pair twice in
+    # the neighbourhood sense, which costs more than fault tolerance.
+    g = component_with_forced_0_vertex()
+    tree = build_cotree(disjoint_union(g, g))
+    assert extract_connected_min(dp_run(tree, [1] * 12))[0] == 10
+    assert solve_cotree(tree).weight == solve(disjoint_union(g, g)).weight == 8
+
+
+def test_solve_cotree_rejects_bad_labels_and_weight_counts():
+    for text, message in (
+        ("(U L0 L0)", "repeat"),
+        ("(U (C L1) L1)", "repeat"),
+        ("(U L0 L2)", r"must lie in 0 \.\. 1"),
+        ("(C (U L1 (U L2 L3)))", r"must lie in 0 \.\. 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            solve_cotree(parse_cotree(text))
+    with pytest.raises(ValueError, match="expected 2 weights, got 3"):
+        solve_cotree(parse_cotree("(U L0 L1)"), [1, 1, 1])
+
+
 def test_decimal_weights_as_fractions_are_exact():
     k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
     weights = [Fraction("0.3"), Fraction("0.1"), Fraction("0.7")]
@@ -590,7 +643,8 @@ def test_union_plans_from_the_leaf_shape_reach_the_documented_shapes():
 
 _FIRST_USE = """
 import json, sys, threading
-from ftmd import dp_run, finite_states, random_cotree
+from ftmd import random_cotree
+from ftmd.dp import dp_run, finite_states
 
 trees = [random_cotree(1 << 10, 500 + seed) for seed in range(4)]
 weights = [[(v * 7 + seed) % 11 for v in range(1 << 10)] for seed in range(4)]

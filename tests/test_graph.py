@@ -50,6 +50,7 @@ def test_edges_roundtrip():
     g = from_edges(4, [(0, 1), (2, 3), (0, 3)])
     assert g.edges() == [(0, 1), (0, 3), (2, 3)]
     assert len(g.adj[0]) == 2
+    assert repr(g) == "Graph(n=4, m=3)"
 
 
 def test_complement_of_k2_is_two_isolated_vertices():
