@@ -232,19 +232,33 @@ def read_edge_list(path: str) -> Graph:
 def _first_duplicate(path: str, handle: TextIO, ids: _VertexIds) -> FileFormatError:
     """The error for the first edge line that repeats an earlier edge, read
     again from the start of ``handle`` with the ids of the first reading.
-    Every edge line before it must be good."""
+    Every edge line before it must be good. A piece of distinct edges, none
+    seen before, is added in bulk; the piece with the repeat is refused and
+    halved down to the line."""
     # The header's pair (n, m) goes in too; it is no edge, as ends are below n.
     seen: set[tuple[int, int]] = set()
 
+    def add(tokens: list[str]) -> bool:
+        try:
+            ends = list(map(ids.__getitem__, tokens))
+        except ValueError:  # more digits than int() converts
+            return False
+        edges = set(zip(ends[::2], ends[1::2]))
+        if len(edges) < len(ends) // 2 or not seen.isdisjoint(edges):
+            return False
+        seen.update(edges)
+        return True
+
     def check(fields: list[str]) -> str | None:
-        edge = ids[fields[0]], ids[fields[1]]
-        if edge in seen:
-            return f"duplicate edge {edge[0]} {edge[1]}"
-        seen.add(edge)
-        return None
+        # The header and the edge lines before the repeat are good, so only
+        # the repeat is refused.
+        if add(fields):
+            return None
+        u, v = map(ids.__getitem__, fields)
+        return f"duplicate edge {u} {v}"
 
     handle.seek(0)
-    lines = _Lines(path, lambda tokens: False, check)
+    lines = _Lines(path, add, check)
     lines.read(handle)
     return lines.error
 

@@ -594,7 +594,7 @@ def parse_cotree(text: str) -> Cotree:
             raise ValueError(f"operator {tok!r} outside parentheses")
         else:
             digits = tok[1:]
-            if tok[0] != "L" or not digits.isdecimal():
+            if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
                 raise ValueError(f"bad token {tok!r}")
             try:
                 labels.append(int(digits))

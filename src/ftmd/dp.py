@@ -55,15 +55,17 @@ only on the two tables' finite states and on whether each side is a single
 leaf. A shape is a small integer id for one table's finite states in the
 order the table keeps them, with a single leaf's table as shape 0. A union
 lists its states in ascending order. A complement keeps the order and
-reverses each state, so it only relabels the shape: each shape is
-registered together with its reversed twin, and a complement node costs
-one list lookup and allocates nothing. 20 shapes are reachable, the leaf's
+reverses each state, so it only relabels the shape. The shapes are a
+constant table, built at import from the ten ascending tuples that unions
+yield, each followed by its reversed twin, and a complement node costs one
+list lookup and allocates nothing. 20 shapes are reachable, the leaf's
 included. The plan of a union of two shapes (the union's shape, and per
 union state its candidate pairs in tie order) is worked out on first use
-and kept in lists indexed by shape id, so a union node costs two list
-lookups and a loop over its candidates; a state with one candidate skips
-the comparison. The solution is read off the cheapest root entry by
-following back-pointers.
+into its cell of a fixed grid indexed by the two shape ids. Cells fill
+without a lock: filling one twice stores the same plan. So a union node
+costs two list lookups and a loop over its candidates; a state with one
+candidate skips the comparison. The solution is read off the cheapest root
+entry by following back-pointers.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -76,12 +78,11 @@ does. ``solve`` builds the cotree of a graph and hands it to
 
 from __future__ import annotations
 
-from _thread import allocate_lock
 from array import array
 from typing import NamedTuple, Sequence
 
 from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, check_labels, flat
-from .cotree import EmptyGraphError, iter_nodes, leaf_labels, root_components
+from .cotree import iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import weak_pair
 
@@ -163,36 +164,27 @@ class TableEntry(NamedTuple):
 
 
 # A shape is a table's finite states in the table's order, with a single
-# leaf's table apart: shape ``_LEAF_SHAPE``, its own complement. Each new
-# tuple gets the next id together with its reversed twin, and
-# ``_complement_shapes`` links the two; 19 more shapes are reachable. The
-# plan of a union of two shapes is filled in on first use, in lists indexed
-# by shape id; the lock only guards that growth.
-_shape_states: list[tuple[int, ...]] = [_LEAF_STATES]
-_shape_ids: dict[tuple[int, ...], int] = {}
-_complement_shapes: list[int] = [_LEAF_SHAPE]
-_union_plans: list[list[tuple | None]] = [[None]]
-_plans_lock = allocate_lock()
-
-
-def _shape_of(states: tuple[int, ...]) -> int:
-    """The id of a larger subtree's ordered finite states; call with the
-    lock held."""
-    shape = _shape_ids.get(states)
-    if shape is None:
-        shape = len(_shape_states)
-        twin = tuple(_REVERSED[i] for i in states)
-        new = [states] if twin == states else [states, twin]
-        for s, ordered in enumerate(new, shape):
-            _shape_ids[ordered] = s
-        _shape_states.extend(new)
-        # Twins are each other's complement; a tuple that reads the same
-        # reversed is its own.
-        _complement_shapes.extend(reversed(range(shape, len(_shape_states))))
-        for row in _union_plans:
-            row.extend([None] * len(new))
-        _union_plans.extend([None] * len(_shape_states) for _ in new)
-    return shape
+# leaf's table apart: shape ``_LEAF_SHAPE``, its own complement. A union
+# lists its states in ascending order, and from the leaf's table on unions
+# yield exactly the ten tuples below. Each is followed by its reversed twin,
+# the same table complemented, unless it reads the same reversed
+# (``dict.fromkeys`` keeps one), and ``_complement_shapes`` links the two.
+# Only unions look shapes up by their states, so the leaf's tuple is not in
+# ``_shape_ids``. A cell of ``_union_plans`` is None until the plan of its
+# two shapes is first used: a solve needs few of the 400 plans, and filling
+# them all costs milliseconds per process.
+_shape_states: list[tuple[int, ...]] = [_LEAF_STATES] + [
+    shape
+    for states in (
+        (4,), (4, 10), (0,), (4, 6, 10), (4, 8),
+        (0, 4), (4, 6, 9, 10), (4, 8, 10), (0, 4, 8), (4, 6, 8, 9, 10),
+    )
+    for shape in dict.fromkeys((states, tuple(_REVERSED[i] for i in states)))
+]
+_shape_ids = {states: shape for shape, states in enumerate(_shape_states)}
+_complement_shapes = [_shape_ids[tuple(_REVERSED[i] for i in s)] for s in _shape_states]
+del _shape_ids[_LEAF_STATES]
+_union_plans: list[list] = [[None] * len(_shape_states) for _ in _shape_states]
 
 
 def _union_plan(shape1: int, shape2: int) -> tuple:
@@ -204,24 +196,24 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
     ``(x, y, rest)``: the positions of the first pair's ids in the two
     lists, and the remaining pairs' positions. Pairs are listed by state,
     side 1 in ``_LEFT_SCAN`` order and side 2 ascending, whatever the
-    positions, so that the first of equally cheap candidates wins. Filling
-    a plan twice gives the same plan.
+    positions, so that the first of equally cheap candidates wins. Threads
+    need no lock: filling a plan twice gives the same plan, and storing it
+    is one list store.
     """
-    with _plans_lock:
-        states1, states2 = _shape_states[shape1], _shape_states[shape2]
-        leaf1, leaf2 = shape1 == _LEAF_SHAPE, shape2 == _LEAF_SHAPE
-        candidates: dict[int, list[tuple[int, int]]] = {}
-        for i in _LEFT_SCAN:
-            if i not in states1:
-                continue
-            for j in sorted(states2):
-                k = _union_state(i, _size_class(i, leaf1), j, _size_class(j, leaf2))
-                if k >= 0:
-                    pair = (1 + 2 * states1.index(i), 1 + 2 * states2.index(j))
-                    candidates.setdefault(k, []).append(pair)
-        states = tuple(sorted(candidates))
-        groups = tuple((*candidates[k][0], tuple(candidates[k][1:])) for k in states)
-        plan = _union_plans[shape1][shape2] = (_shape_of(states), groups)
+    states1, states2 = _shape_states[shape1], _shape_states[shape2]
+    leaf1, leaf2 = shape1 == _LEAF_SHAPE, shape2 == _LEAF_SHAPE
+    candidates: dict[int, list[tuple[int, int]]] = {}
+    for i in _LEFT_SCAN:
+        if i not in states1:
+            continue
+        for j in sorted(states2):
+            k = _union_state(i, _size_class(i, leaf1), j, _size_class(j, leaf2))
+            if k >= 0:
+                pair = (1 + 2 * states1.index(i), 1 + 2 * states2.index(j))
+                candidates.setdefault(k, []).append(pair)
+    states = tuple(sorted(candidates))
+    groups = tuple((*candidates[k][0], tuple(candidates[k][1:])) for k in states)
+    plan = _union_plans[shape1][shape2] = (_shape_ids[states], groups)
     return plan
 
 
@@ -382,14 +374,12 @@ class Solution(NamedTuple):
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:
     """Minimum-weight fault-tolerant resolving set of a vertex-weighted cograph.
 
-    Checks the weights, builds one cotree for the whole graph and solves it
-    with ``solve_cotree``. Raises ``NotCographError`` if the graph is not a
-    cograph and ``EmptyGraphError`` for the empty graph.
+    Builds one cotree for the whole graph and solves it with
+    ``solve_cotree``, which checks the weights. Raises ``NotCographError``
+    if the graph is not a cograph and ``EmptyGraphError`` for the empty
+    graph, both before the weights are looked at.
     """
-    if g.n == 0:
-        raise EmptyGraphError("the empty graph has no solution")
-    w = check_weights(g.n, weights)
-    return solve_cotree(build_cotree(g), w)
+    return solve_cotree(build_cotree(g), weights)
 
 
 def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solution:
@@ -412,9 +402,8 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     summation order can change the last digits and, at large magnitudes,
     which of two nearly equal sets is cheaper.
     """
-    n = tree.leaves
-    w = check_weights(n, weights)
-    check_labels(tree, n)
+    w = check_weights(tree.leaves, weights)
+    check_labels(tree, len(w))
     parts = root_components(tree)
     include_isolated = sum(part.leaves == 1 for part in parts) >= 2
 

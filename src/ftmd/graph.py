@@ -92,7 +92,7 @@ def check_weights(n: int, weights: Sequence[Weight] | None) -> list[Weight]:
     for unit weights.
 
     Raises ``ValueError`` when the count differs from ``n`` or a weight is
-    a ``bool``, NaN, infinite or negative.
+    a ``bool``, NaN, infinite, negative or not comparable with numbers.
     """
     if weights is None:
         return [1] * n
@@ -102,10 +102,13 @@ def check_weights(n: int, weights: Sequence[Weight] | None) -> list[Weight]:
     for v, x in enumerate(w):
         if isinstance(x, bool):
             raise ValueError(f"boolean weight {x} at vertex {v}")
-        if x != x or x in (math.inf, -math.inf):
-            raise ValueError(f"non-finite weight {x} at vertex {v}")
-        if x < 0:
-            raise ValueError(f"negative weight {x} at vertex {v}")
+        try:
+            if x != x or x in (math.inf, -math.inf):
+                raise ValueError(f"non-finite weight {x} at vertex {v}")
+            if x < 0:
+                raise ValueError(f"negative weight {x} at vertex {v}")
+        except TypeError:  # a string or None does not compare with 0
+            raise ValueError(f"weight {x!r} at vertex {v} is not a number") from None
     return w
 
 

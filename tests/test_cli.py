@@ -195,6 +195,11 @@ def test_solve_missing_file(capsys, tmp_path):
         ("11 1\n0 1_0\n", "integers"),
         ("11 1\n0_1 5\n", "integers"),
         pytest.param(f"2 1\n0 {'1' * 5000}\n", "integers", id="5000-digit endpoint"),
+        pytest.param(
+            f"2 3\n0 1\n0 1\n0 {'1' * 5000}\n",
+            "bad.txt:3: duplicate edge 0 1",
+            id="5000-digit endpoint after a duplicate",
+        ),
     ],
 )
 def test_edge_list_parse_errors(capsys, tmp_path, body, fragment):
@@ -426,6 +431,21 @@ def test_edge_list_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
     graph = write(tmp_path, "g.txt", f"300 {len(edges)}\n" + "\n".join(lines) + "\n")
     calls = count_line_by_line(monkeypatch)
     assert cli.read_edge_list(graph) == from_edges(300, edges)
+    assert len(calls) < 200
+
+
+def test_edge_list_duplicate_search_reads_in_bulk(tmp_path, monkeypatch):
+    # Naming the repeat reads the file again, in bulk up to the piece that
+    # holds it.
+    edges = slice_test_lines(random.Random(11), 300, 14_000)
+    lines = [f"{u} {v}" for u, v in edges]
+    u, v = edges[10]
+    lines.insert(10_000, f"{u} {v}")
+    graph = write(tmp_path, "g.txt", f"300 {len(lines)}\n" + "\n".join(lines) + "\n")
+    calls = count_line_by_line(monkeypatch)
+    with pytest.raises(cli.FileFormatError) as exc:
+        cli.read_edge_list(graph)
+    assert str(exc.value) == f"{graph}:10002: duplicate edge {u} {v}"
     assert len(calls) < 200
 
 

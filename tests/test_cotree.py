@@ -428,6 +428,8 @@ PARSE_ERRORS = {
     "L": "bad token 'L'",
     "L1a": "bad token 'L1a'",
     "(C L-1)": "bad token 'L-1'",
+    # Leaf labels are ASCII decimals: no other script's digits.
+    "(U L\u0663 L0)": "bad token 'L\u0663'",
     # More digits than int() converts.
     "L" + "1" * 5000: f"leaf label 'L{'1' * 5000}' out of range",
 }

@@ -367,6 +367,15 @@ def test_solve_validates_weights():
     for bad in ([True, False], [math.nan, 1], [math.inf, 1], [1, -math.inf]):
         with pytest.raises(ValueError):
             solve(g, bad)
+    for bad in (["a", 1], [None, 1]):
+        with pytest.raises(ValueError, match=r"^weight .* at vertex 0 is not a number$"):
+            solve(g, bad)
+
+
+def test_solve_recognises_before_it_checks_the_weights():
+    p4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(NotCographError):
+        solve(p4, [1])
 
 
 def test_solve_weight_stays_integer():
