@@ -15,7 +15,6 @@ from .dp import dp_run, extract_connected_min
 
 
 class BenchRow(NamedTuple):
-    exponent: int
     n: int
     nodes: int
     seconds: float
@@ -34,7 +33,7 @@ def run_scaling(exponents: Iterable[int], seed: int, repeats: int = 3) -> list[B
             value = dp_run(tree, weights)
             extract_connected_min(value)
             best = min(best, time.perf_counter() - start)
-        rows.append(BenchRow(k, n, node_count(tree), max(best, 1e-9)))
+        rows.append(BenchRow(n, node_count(tree), max(best, 1e-9)))
     return rows
 
 

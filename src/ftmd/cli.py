@@ -155,8 +155,9 @@ def read_edge_list(path: str) -> Graph:
     wrong edge count before any bad edge line, a duplicate edge before any
     later bad line, and a decoding error anywhere before all of them. Only a
     duplicate edge needs a second reading, from the start of the same
-    handle; input that cannot seek, such as a pipe, is read into memory
-    first so that it can be read again.
+    handle; input that cannot seek, such as a pipe, is first read into
+    memory as its bytes, about one byte per character, so that it can be
+    read again. It is decoded as it is read, like a file.
     """
     n = m = header_no = -1  # until the header is read
     ids = _VertexIds()
@@ -206,7 +207,7 @@ def read_edge_list(path: str) -> Graph:
 
     with open(path, "r", encoding="ascii") as handle:
         if not handle.seekable():
-            handle = io.StringIO(handle.read())
+            handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="ascii")
         lines = _Lines(path, add, check)
         lines.read(handle)
         if n < 0:  # no header, or a bad one

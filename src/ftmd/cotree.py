@@ -21,8 +21,8 @@ with equal open or closed neighbourhoods until one is left, in O(n + m)
 expected time, growing the tree's union and join modules as it goes, and
 then orders each module's children into the canonical tree. ``realize``
 goes the other way in O(n + m), reading adjacency off the complement parity
-above each union node. ``check_labels`` checks that a subtree's k leaf
-labels are distinct and below a bound in O(k).
+above each union node. ``check_labels`` checks that k leaf labels from
+``flat`` are distinct and below a bound in O(k).
 
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
@@ -180,7 +180,9 @@ def _leaf_counts(kinds: bytearray) -> array:
 
 def flat(t: Cotree) -> tuple[bytearray, array]:
     """The ``kinds`` and ``labels`` arrays of ``t``'s subtree: the tree's own
-    arrays when ``t`` is its root, else copies. Callers must not modify them.
+    arrays when ``t`` is its root, else copies, so a caller that needs both
+    the labels and the kinds of a subtree calls it once. Callers must not
+    modify them.
     """
     tree, pos, leaves = t._tree, t._pos, t._leaves
     kinds = tree.kinds
@@ -250,11 +252,11 @@ def root_components(t: Cotree) -> list[Cotree]:
     return out
 
 
-def check_labels(t: Cotree, n: int) -> None:
-    """Raise ``ValueError`` when ``t``'s leaf labels repeat or fall outside
-    ``range(n)``, a repeat first. One set over ``t``'s own k labels: O(k).
+def check_labels(labels: array, n: int) -> None:
+    """Raise ``ValueError`` when a subtree's leaf labels, as ``flat`` returns
+    them, repeat or fall outside ``range(n)``, a repeat first. One set over
+    the k labels: O(k).
     """
-    labels = flat(t)[1]
     if len(set(labels)) < len(labels):
         raise ValueError("cotree leaf labels repeat")
     if min(labels) < 0 or max(labels) >= n:
@@ -275,8 +277,8 @@ def realize(t: Cotree) -> Graph:
     two slices in bulk; the cost is O(n + m).
     """
     n = t._leaves
-    check_labels(t, n)
     kinds, labels = flat(t)
+    check_labels(labels, n)
     labels = labels.tolist()
     sizes = _leaf_counts(kinds)
     adj: list[set[int]] = [set() for _ in range(n)]

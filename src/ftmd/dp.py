@@ -247,8 +247,8 @@ def dp_run(
     separates every pair twice in the neighbourhood sense, which can cost
     more; ``solve_cotree`` solves such a tree per component.
     """
-    check_labels(t, len(weights))
     kinds, labels = flat(t)
+    check_labels(labels, len(weights))
     left = array("i", [-1])
     left += labels
     right = array("i", [-1]) * len(left)
@@ -403,7 +403,7 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     which of two nearly equal sets is cheaper.
     """
     w = check_weights(tree.leaves, weights)
-    check_labels(tree, len(w))
+    check_labels(flat(tree)[1], len(w))
     parts = root_components(tree)
     include_isolated = sum(part.leaves == 1 for part in parts) >= 2
 

@@ -65,13 +65,6 @@ class Graph(_GraphFields):
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
 
-class DistanceRow(NamedTuple):
-    """Shortest-path distances from ``source``; ``None`` marks unreachable."""
-
-    source: int
-    dist: tuple[int | None, ...]
-
-
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; validates ids and forbids loops."""
     if n < 0:
@@ -119,8 +112,9 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph._unchecked(g1.n + g2.n, tuple(adj))
 
 
-def bfs_distances(g: Graph, source: int) -> DistanceRow:
-    """Exact shortest-path distances from ``source``."""
+def bfs_distances(g: Graph, source: int) -> tuple[int | None, ...]:
+    """Exact shortest-path distances from ``source`` to every vertex, in
+    vertex order; ``None`` marks an unreachable vertex."""
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n
@@ -133,7 +127,7 @@ def bfs_distances(g: Graph, source: int) -> DistanceRow:
             if dist[v] is None:
                 dist[v] = du + 1
                 queue.append(v)
-    return DistanceRow(source, tuple(dist))
+    return tuple(dist)
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:

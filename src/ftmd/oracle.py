@@ -34,7 +34,7 @@ def _guard(g: Graph) -> None:
 
 def _resolver_masks(g: Graph) -> list[int]:
     """For each pair, the bitmask of vertices at different distances to the two."""
-    rows = [bfs_distances(g, x).dist for x in range(g.n)]
+    rows = [bfs_distances(g, x) for x in range(g.n)]
     masks = []
     for u in range(g.n):
         for v in range(u + 1, g.n):

@@ -27,7 +27,7 @@ def h(g: Graph, r: VertexSet, u: int, v: int) -> int:
 
 
 def _distance_rows(g: Graph, r: frozenset[int]) -> dict[int, tuple[int | None, ...]]:
-    return {w: bfs_distances(g, w).dist for w in sorted(r)}
+    return {w: bfs_distances(g, w) for w in sorted(r)}
 
 
 def first_unresolved_pair(g: Graph, r: VertexSet, k: int = 1) -> tuple[int, int] | None:

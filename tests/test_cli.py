@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -348,6 +349,57 @@ def test_edge_list_from_a_pipe(body, out, err):
         text=True,
     )
     assert (result.returncode, result.stdout, result.stderr) == (bool(err), out, err)
+
+
+def test_decoding_error_in_a_pipe_reported_before_an_earlier_bad_line():
+    # The bad line 2 is read long before the non-ASCII byte: a pipe is
+    # decoded as it is read, and the decoding error still wins.
+    body = b"2 1\n0 5\n" + b"# padding\n" * 4000 + b"# caf\xc3\xa9\n"
+    src = Path(ftmd.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "ftmd.cli", "solve", "/dev/stdin"],
+        input=body,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+    )
+    assert result.returncode == 1 and result.stdout == b""
+    assert b"codec can't decode" in result.stderr
+
+
+def test_edge_list_from_a_pipe_costs_about_its_text_over_a_file(tmp_path):
+    # A pipe is held as its bytes, one per character; a StringIO of the
+    # text would hold four.
+    edges = slice_test_lines(random.Random(8), 2000, 30_000)
+    text = f"2000 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    graph = write(tmp_path, "g.txt", text)
+    data = text.encode()
+
+    def peak(path):
+        tracemalloc.start()
+        try:
+            cli.read_edge_list(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def feed(fd):
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=feed, args=(write_end,))
+    writer.start()
+    try:
+        piped = peak(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe fails
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped - peak(graph) < 1.5 * len(data)
 
 
 def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file):
@@ -734,7 +786,10 @@ def test_bench_table_shape(capsys):
     code, out, _ = run(capsys, ["bench", "--max-exp", "10", "--repeats", "1"])
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "n nodes seconds"
+    # The table prints every field of a row, in order.
+    from ftmd.bench import BenchRow
+
+    assert lines[0] == "n nodes seconds" == " ".join(BenchRow._fields)
     assert len(lines) == 2
     n, nodes, seconds = lines[1].split()
     assert int(n) == 1024

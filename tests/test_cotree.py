@@ -169,6 +169,26 @@ def test_realize_rejects_bad_labels():
         realize(union_node(Leaf(0), Leaf(0)))
 
 
+def test_realize_on_a_subtree_view():
+    # Leaves are 0 .. n-1 left to right, so the views on the left spine hold
+    # exactly 0 .. k-1 and realize as their own text does; any other view
+    # holds some label k or above.
+    spine = 0
+    for seed in range(30):
+        tree = random_cotree(24, seed)
+        for view in iter_nodes(tree):
+            if view == tree:
+                continue
+            k = view.leaves
+            if leaf_labels(view)[0] == 0:
+                spine += 1
+                assert realize(view) == realize(parse_cotree(format_cotree(view)))
+            else:
+                with pytest.raises(ValueError, match=rf"must lie in 0 \.\. {k - 1}$"):
+                    realize(view)
+    assert spine > 30
+
+
 @given(cotrees(max_n=12))
 def test_realize_build_roundtrip(t):
     g = realize(t)

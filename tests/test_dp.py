@@ -634,15 +634,21 @@ def test_table_and_entry_reprs_leave_out_the_back_pointer_arrays():
 
 
 def test_union_plans_from_the_leaf_shape_reach_the_documented_shapes():
-    # Shapes come only from plans, so every registered one is reachable from
-    # the leaf's; filling every plan among them until none is new closes them.
-    filled = 0
-    while filled < len(dp_module._shape_states):
-        filled = len(dp_module._shape_states)
-        for shape1 in range(filled):
-            for shape2 in range(filled):
-                dp_module._union_plan(shape1, shape2)
-    assert f"{filled} shapes are reachable" in dp_module.__doc__
+    # Close the leaf's shape under unions and complements: the closure must
+    # be every shape in the table, so the table holds no unreachable shape.
+    reached = {dp_module._LEAF_SHAPE}
+    todo = list(reached)
+    while todo:
+        shape = todo.pop()
+        found = {dp_module._complement_shapes[shape]}
+        for other in list(reached):
+            found.add(dp_module._union_plan(shape, other)[0])
+            found.add(dp_module._union_plan(other, shape)[0])
+        todo += found - reached
+        reached |= found
+    shapes = len(dp_module._shape_states)
+    assert reached == set(range(shapes))
+    assert f"{shapes} shapes are reachable" in dp_module.__doc__
     complements = dp_module._complement_shapes
     for shape, states in enumerate(dp_module._shape_states):
         twin = dp_module._shape_states[complements[shape]]

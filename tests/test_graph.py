@@ -79,14 +79,12 @@ def test_complement_output_is_valid(g):
 
 def test_bfs_on_path():
     g = from_edges(3, [(0, 1), (1, 2)])
-    row = bfs_distances(g, 0)
-    assert row.source == 0
-    assert row.dist == (0, 1, 2)
+    assert bfs_distances(g, 0) == (0, 1, 2)
 
 
 def test_bfs_unreachable_is_none():
     g = from_edges(3, [(0, 1)])
-    assert bfs_distances(g, 0).dist == (0, 1, None)
+    assert bfs_distances(g, 0) == (0, 1, None)
 
 
 def test_bfs_source_out_of_range():
@@ -113,7 +111,7 @@ def _floyd_warshall(g):
 def test_bfs_agrees_with_floyd_warshall(g):
     reference = _floyd_warshall(g)
     for s in range(g.n):
-        row = bfs_distances(g, s).dist
+        row = bfs_distances(g, s)
         for v in range(g.n):
             expected = reference[s][v]
             assert row[v] == (None if expected == float("inf") else expected)
@@ -124,7 +122,7 @@ def test_connected_cograph_has_diameter_at_most_two(g):
     if len(connected_components(g)) != 1:
         return
     for s in range(g.n):
-        finite = [d for d in bfs_distances(g, s).dist if d is not None]
+        finite = [d for d in bfs_distances(g, s) if d is not None]
         assert max(finite) <= 2
 
 

@@ -190,7 +190,7 @@ def test_state_signature_closed_open_split():
 
 def separations(g, r, u, v):
     """Members of ``r`` at different BFS distances from ``u`` and ``v``."""
-    rows = [bfs_distances(g, x).dist for x in r]
+    rows = [bfs_distances(g, x) for x in r]
     return sum(dist[u] != dist[v] for dist in rows)
 
 
