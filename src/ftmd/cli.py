@@ -16,7 +16,7 @@ import math
 import sys
 from collections import defaultdict
 from operator import lt
-from typing import TYPE_CHECKING, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
 from .cotree import random_cotree, realize
@@ -84,7 +84,8 @@ class _Lines:
     ``count`` is the number of such lines, good or bad. ``error`` is the
     first bad line's error; no record after it is added, only counted. A
     decoding error anywhere in the file is raised while reading, before
-    the caller sees ``error``.
+    the caller sees ``error``, as a ``FileFormatError`` at the line and the
+    input offset of the first non-ASCII byte.
     """
 
     def __init__(
@@ -104,10 +105,13 @@ class _Lines:
         """Read the rest of the file."""
         # Short pieces until the first record, so that a header, which the
         # bulk adder may refuse, does not send a whole slice to be halved.
-        while text := handle.read(_SLICE if self.count else _PIECE):
-            if text[-1] != "\n":
-                text += handle.readline()
-            self.read_piece(text)
+        try:
+            while text := handle.read(_SLICE if self.count else _PIECE):
+                if text[-1] != "\n":
+                    text += handle.readline()
+                self.read_piece(text)
+        except UnicodeDecodeError:
+            raise _decoding_error(self.path, handle.buffer) from None
 
     def read_piece(self, text: str) -> None:
         """Take the next whole lines of the file; only the file's last line
@@ -143,6 +147,39 @@ class _Lines:
                     self.error = FileFormatError(self.path, self.line_no, message)
 
 
+def _decoding_error(path: str, raw: BinaryIO) -> FileFormatError:
+    """The error for the first non-ASCII byte of ``raw``, found by reading
+    it again from the start. The text layer's own error counts its position
+    from the start of the chunk it was decoding, and names no line. Lines
+    end as the text layer ends them, at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    raw.seek(0)
+    offset = breaks = 0
+    while chunk := raw.read(_SLICE):
+        if chunk.endswith(b"\r"):  # so that no chunk ends inside a "\r\n"
+            chunk += raw.read(1)
+        good = len(chunk)
+        if not chunk.isascii():
+            good = next(i for i, b in enumerate(chunk) if b > 127)
+        head = chunk[:good]
+        offset += good
+        breaks += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        if good < len(chunk):
+            break
+    message = f"'ascii' codec can't decode byte 0x{chunk[good]:02x} at offset {offset}"
+    return FileFormatError(path, breaks + 1, message)
+
+
+def _open_ascii(path: str) -> TextIO:
+    """``path`` as ASCII text that can seek. Input that cannot, such as a
+    pipe, is first read into memory as its bytes, about one byte per
+    character; it is decoded as it is read, like a file."""
+    handle = open(path, "r", encoding="ascii")
+    if handle.seekable():
+        return handle
+    with handle:
+        return io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="ascii")
+
+
 def read_edge_list(path: str) -> Graph:
     """Parse the ``n m`` header plus ``m`` edge lines ``u v`` with u < v.
 
@@ -154,10 +191,8 @@ def read_edge_list(path: str) -> Graph:
     (``_VertexIds``). A bad header is reported before a wrong edge count, a
     wrong edge count before any bad edge line, a duplicate edge before any
     later bad line, and a decoding error anywhere before all of them. Only a
-    duplicate edge needs a second reading, from the start of the same
-    handle; input that cannot seek, such as a pipe, is first read into
-    memory as its bytes, about one byte per character, so that it can be
-    read again. It is decoded as it is read, like a file.
+    duplicate edge or a decoding error needs a second reading, from the
+    start of the same handle, so a pipe is held in memory (``_open_ascii``).
     """
     n = m = header_no = -1  # until the header is read
     ids = _VertexIds()
@@ -205,9 +240,7 @@ def read_edge_list(path: str) -> Graph:
         adj[v].append(u)
         return None
 
-    with open(path, "r", encoding="ascii") as handle:
-        if not handle.seekable():
-            handle = io.TextIOWrapper(io.BytesIO(handle.buffer.read()), encoding="ascii")
+    with _open_ascii(path) as handle:
         lines = _Lines(path, add, check)
         lines.read(handle)
         if n < 0:  # no header, or a bad one
@@ -282,7 +315,8 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
     The lines are read by ``_Lines``: slices of plain ``v w`` lines in bulk,
     any other line by the line-by-line checks. The first bad line is
     reported, with the first of its format, range, repeat, non-finite and
-    negative errors; a decoding error anywhere comes before it.
+    negative errors; a decoding error anywhere comes before it. A pipe is
+    held in memory, as for ``read_edge_list``.
     """
     weights: list[int | Fraction] = [1] * n
     listed = bytearray(n)
@@ -318,7 +352,7 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
         listed[v] = 1
         return None
 
-    with open(path, "r", encoding="ascii") as handle:
+    with _open_ascii(path) as handle:
         lines = _Lines(path, add, check)
         lines.read(handle)
     if lines.error is not None:
@@ -396,10 +430,12 @@ def cmd_check(args) -> int:
 def cmd_gen(args) -> int:
     tree = random_cotree(args.n, args.seed)
     g = realize(tree)
-    edges = g.edges()
-    print(f"{g.n} {len(edges)}")
-    for u, v in edges:
-        print(f"{u} {v}")
+    write = sys.stdout.write
+    write(f"{g.n} {sum(map(len, g.adj)) // 2}\n")
+    # The lines of g.edges(), one write per vertex and no list of all edges.
+    for u, row in enumerate(g.adj):
+        if above := sorted(v for v in row if v > u):
+            write(f"{u} " + f"\n{u} ".join(map(str, above)) + "\n")
     # As a comment so that the output is directly consumable by `solve`.
     print(f"# cotree: {format_cotree(tree)}")
     return 0
@@ -486,7 +522,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileFormatError, OSError, UnicodeDecodeError, EmptyGraphError) as err:
+    except (FileFormatError, OSError, EmptyGraphError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NotCographError as err:

@@ -13,6 +13,7 @@ import ftmd
 from ftmd import parse_cotree, realize, from_edges
 from ftmd import cli
 from ftmd.cli import format_weight, main
+from ftmd.graph import connected_components
 
 
 def write(tmp_path, name, text):
@@ -411,6 +412,51 @@ def test_decoding_error_reported_before_format_errors(capsys, tmp_path, k2_file)
     assert code == 1 and "codec can't decode" in err
 
 
+# The only non-ASCII byte is on line 4,003, far past the start of the chunk
+# that the text layer was decoding when it failed.
+FAR_NON_ASCII = b"2 1\n0 1\n" + b"# padding line\n" * 4000 + b"# caf\xc3\xa9\n"
+
+
+def decoding_error(path, line_no, data, byte=b"\xc3"):
+    message = f"'ascii' codec can't decode byte 0x{byte.hex()}"
+    return f"error: {path}:{line_no}: {message} at offset {data.index(byte)}\n"
+
+
+def test_decoding_error_names_its_file_line_and_offset(capsys, tmp_path, k2_file):
+    graph = write_bytes(tmp_path, "g.txt", FAR_NON_ASCII)
+    expected = decoding_error(graph, 4003, FAR_NON_ASCII)
+    assert run(capsys, ["solve", graph]) == (1, "", expected)
+    # Lines end at CRLF and at a lone CR, as the text layer ends them, also
+    # where a CRLF straddles two of the chunks read to find the byte.
+    head = b"2 1\r\n0 1\r\n"
+    data = head + b"#" * (cli._SLICE - len(head) - 1) + b"\r\n# x\r# caf\xc3\xa9\n"
+    assert data[cli._SLICE - 1 : cli._SLICE + 1] == b"\r\n"
+    graph = write_bytes(tmp_path, "crlf.txt", data)
+    assert run(capsys, ["solve", graph]) == (1, "", decoding_error(graph, 5, data))
+    data = b"0 x\n" + b"# padding\n" * 3000 + b"1 2 \xff\n"
+    weights = write_bytes(tmp_path, "w.txt", data)
+    code, out, err = run(capsys, ["solve", k2_file, "--weights", weights])
+    assert (code, out, err) == (1, "", decoding_error(weights, 3002, data, b"\xff"))
+
+
+def test_decoding_error_in_a_pipe_names_its_line_and_offset(k2_file):
+    src = Path(ftmd.__file__).resolve().parent.parent
+    weights = b"0 x\n" + b"# padding\n" * 3000 + b"1 2 \xff\n"
+    for argv, data, line_no, byte in (
+        (["/dev/stdin"], FAR_NON_ASCII, 4003, b"\xc3"),
+        ([k2_file, "--weights", "/dev/stdin"], weights, 3002, b"\xff"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "ftmd.cli", "solve", *argv],
+            input=data,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+        )
+        expected = decoding_error("/dev/stdin", line_no, data, byte)
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr.decode() == expected
+
+
 def slice_test_lines(rng, n, count):
     """``count`` distinct edges ``u v`` of ``n`` vertices, shuffled."""
     edges = set()
@@ -762,6 +808,19 @@ def test_gen_deterministic(capsys):
 def test_gen_rejects_zero(capsys):
     code, _, _ = run(capsys, ["gen", "0", "0"])
     assert code == 1
+
+
+@pytest.mark.parametrize("n,seed", [(1, 4), (2, 0), (2, 2), (5, 0), (40, 0), (300, 3)])
+def test_gen_writes_the_sorted_edges_of_its_cotree(capsys, n, seed):
+    tree = ftmd.random_cotree(n, seed)
+    g = realize(tree)
+    edges = g.edges()
+    expected = [f"{g.n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    expected.append(f"# cotree: {ftmd.format_cotree(tree)}")
+    code, out, _ = run(capsys, ["gen", str(n), str(seed)])
+    assert code == 0 and out == "\n".join(expected) + "\n"
+    if (n, seed) == (5, 0):
+        assert len(connected_components(g)) > 1
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (7, 1), (12, 5), (20, 9)])

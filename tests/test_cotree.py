@@ -30,6 +30,7 @@ from ftmd import (
     union_node,
 )
 from ftmd.cotree import (
+    flat,
     iter_nodes,
     leaf_count,
     leaf_labels,
@@ -615,6 +616,47 @@ def test_relabel():
     mapped = relabel(t, {0: 5, 1: 3, 2: 4})
     assert leaf_labels(mapped) == [5, 3, 4]
     assert node_count(mapped) == node_count(t)
+
+
+def test_random_cotree_matches_the_randint_reference():
+    cases = [(n, seed) for n in range(1, 65) for seed in (0, 1, 7, 2**31 - 1, -3)]
+    for n, seed in cases + [(2**14, 0), (2**14, 5)]:
+        expected = reference_cotree.random_cotree(n, seed)
+        assert flat(random_cotree(n, seed)) == flat(expected)
+
+
+def assert_formats_as_reference(t):
+    assert format_cotree(t) == reference_cotree.format_cotree(t)
+
+
+def test_format_cotree_matches_the_reference():
+    rng = random.Random(20)
+    for _ in range(60):
+        tree = random_cotree(rng.randint(1, 200), rng.randrange(2**31))
+        assert_formats_as_reference(tree)
+        assert_formats_as_reference(complement_node(tree))
+    big = relabel(random_cotree(3, 0), {0: 2**31 - 1, 1: 0, 2: 10**9})
+    assert_formats_as_reference(big)
+    assert_formats_as_reference(Leaf(0))
+    assert_formats_as_reference(Leaf(2**31 - 1))
+    texts = ("(C L0)", "(U (C L0) L1)", "(U L1 (C L0))", "(C (U (C L2) (U L0 (C L1))))")
+    for text in texts:
+        assert format_cotree(parse_cotree(text)) == text
+        assert_formats_as_reference(parse_cotree(text))
+
+
+def test_format_cotree_matches_the_reference_on_every_subtree_view():
+    for seed in range(12):
+        tree = random_cotree(40, seed)
+        for t in (tree, complement_node(tree)):
+            for view in iter_nodes(t):
+                assert_formats_as_reference(view)
+
+
+def test_format_cotree_matches_the_reference_on_a_deep_chain():
+    chain = threshold_chain(2048)
+    assert_formats_as_reference(chain)
+    assert_formats_as_reference(chain.child.left)
 
 
 def test_find_induced_p4_examples():
