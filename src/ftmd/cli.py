@@ -19,7 +19,7 @@ from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
-from .cotree import random_cotree, realize
+from .cotree import neighbour_rows, random_cotree
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
@@ -429,11 +429,11 @@ def cmd_check(args) -> int:
 
 def cmd_gen(args) -> int:
     tree = random_cotree(args.n, args.seed)
-    g = realize(tree)
+    rows = neighbour_rows(tree)
     write = sys.stdout.write
-    write(f"{g.n} {sum(map(len, g.adj)) // 2}\n")
-    # The lines of g.edges(), one write per vertex and no list of all edges.
-    for u, row in enumerate(g.adj):
+    write(f"{len(rows)} {sum(map(len, rows)) // 2}\n")
+    # The lines of realize(tree).edges(), one write per vertex and no list.
+    for u, row in enumerate(rows):
         if above := sorted(v for v in row if v > u):
             write(f"{u} " + f"\n{u} ".join(map(str, above)) + "\n")
     # As a comment so that the output is directly consumable by `solve`.

@@ -19,10 +19,12 @@ it. New trees come from ``Leaf(v)``, ``union_node`` and
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
 with equal open or closed neighbourhoods until one is left, in O(n + m)
 expected time, growing the tree's union and join modules as it goes, and
-then orders each module's children into the canonical tree. ``realize``
-goes the other way in O(n + m), reading adjacency off the complement parity
-above each union node. ``check_labels`` checks that k leaf labels from
-``flat`` are distinct and below a bound in O(k).
+then orders each module's children into the canonical tree.
+``neighbour_rows`` goes the other way in O(n + m), reading each vertex's
+neighbours off the complement parity above each union node; ``realize``
+makes a ``Graph`` of them, and ``ftmd gen`` writes them without one.
+``check_labels`` checks that k leaf labels from ``flat`` are distinct and
+below a bound in O(k).
 
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
@@ -267,25 +269,21 @@ def check_labels(labels: array, n: int) -> None:
         raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
 
 
-def realize(t: Cotree) -> Graph:
-    """Graph described by the cotree.
-
-    A leaf is a single vertex, a union node the disjoint union of its
-    children, a complement node the graph complement of its child. Leaf
-    labels must form exactly ``0 .. n-1``; vertex ``v`` of the result is the
-    leaf labelled ``v``.
+def neighbour_rows(t: Cotree) -> list[list[int]]:
+    """The neighbours of each vertex of the graph that ``t`` realizes, as
+    row ``v`` of the result for the leaf labelled ``v``, unsorted. The labels
+    are checked first with ``check_labels``.
 
     Two leaves are adjacent exactly when an odd number of complement nodes
     lie above their lowest common union node. A subtree's leaves are a
-    contiguous slice of ``leaf_labels(t)``, so each such union node joins its
-    two slices in bulk; the cost is O(n + m).
+    contiguous slice of ``leaf_labels(t)``, so each such union node extends
+    the rows of its two slices in bulk; the cost is O(n + m).
     """
-    n = t._leaves
     kinds, labels = flat(t)
-    check_labels(labels, n)
+    check_labels(labels, len(labels))
     labels = labels.tolist()
     sizes = _leaf_counts(kinds)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in labels]
     # (node, index of its first leaf in labels, complement parity above it)
     stack = [(len(kinds) - 1, 0, 0)]
     while stack:
@@ -298,11 +296,23 @@ def realize(t: Cotree) -> Graph:
             if odd:
                 left_part, right_part = labels[start:mid], labels[mid : mid + right]
                 for u in left_part:
-                    adj[u].update(right_part)
+                    rows[u] += right_part
                 for v in right_part:
-                    adj[v].update(left_part)
+                    rows[v] += left_part
             stack += ((pos - 2 * right, start, odd), (pos - 1, mid, odd))
-    return Graph._unchecked(n, tuple(map(frozenset, adj)))
+    return rows
+
+
+def realize(t: Cotree) -> Graph:
+    """Graph described by the cotree: ``neighbour_rows(t)``, one frozenset
+    per row.
+
+    A leaf is a single vertex, a union node the disjoint union of its
+    children, a complement node the graph complement of its child. Leaf
+    labels must form exactly ``0 .. n-1``; vertex ``v`` of the result is the
+    leaf labelled ``v``.
+    """
+    return Graph._unchecked(t._leaves, tuple(map(frozenset, neighbour_rows(t))))
 
 
 def build_cotree(g: Graph) -> Cotree:

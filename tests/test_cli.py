@@ -14,6 +14,7 @@ from ftmd import parse_cotree, realize, from_edges
 from ftmd import cli
 from ftmd.cli import format_weight, main
 from ftmd.graph import connected_components
+import reference_cotree
 
 
 def write(tmp_path, name, text):
@@ -821,6 +822,23 @@ def test_gen_writes_the_sorted_edges_of_its_cotree(capsys, n, seed):
     assert code == 0 and out == "\n".join(expected) + "\n"
     if (n, seed) == (5, 0):
         assert len(connected_components(g)) > 1
+
+
+def test_gen_builds_no_graph(capsys, monkeypatch):
+    # The expected text comes from the reference realizer, which shares no
+    # code with the walk that gen writes from.
+    tree = ftmd.random_cotree(300, 3)
+    edges = reference_cotree.realize(tree).edges()
+    expected = [f"300 {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    expected.append(f"# cotree: {ftmd.format_cotree(tree)}")
+
+    def refuse(*args):
+        raise AssertionError("ftmd gen built a Graph")
+
+    monkeypatch.setattr(ftmd.cotree, "realize", refuse)
+    monkeypatch.setattr(ftmd.graph.Graph, "_unchecked", refuse)
+    code, out, _ = run(capsys, ["gen", "300", "3"])
+    assert code == 0 and out == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (7, 1), (12, 5), (20, 9)])

@@ -34,11 +34,12 @@ from ftmd.cotree import (
     iter_nodes,
     leaf_count,
     leaf_labels,
+    neighbour_rows,
     node_count,
     root_components,
 )
 import ftmd.cotree as cotree_module
-from strategies import cotrees, is_normalized, relabel
+from strategies import cotrees, enumerate_cotrees, is_normalized, relabel
 import reference_cotree
 from reference_cotree import find_induced_p4
 
@@ -168,6 +169,13 @@ def test_realize_rejects_bad_labels():
         realize(union_node(Leaf(0), Leaf(2)))
     with pytest.raises(ValueError):
         realize(union_node(Leaf(0), Leaf(0)))
+    # The walk checks the labels itself, a repeat before a label too large.
+    with pytest.raises(ValueError, match=r"must lie in 0 \.\. 1$"):
+        neighbour_rows(union_node(Leaf(0), Leaf(2)))
+    with pytest.raises(ValueError, match="repeat"):
+        neighbour_rows(union_node(Leaf(0), Leaf(0)))
+    with pytest.raises(ValueError, match="repeat"):
+        neighbour_rows(complement_node(union_node(Leaf(5), Leaf(5))))
 
 
 def test_realize_on_a_subtree_view():
@@ -260,6 +268,14 @@ def test_build_matches_reference_on_relabelled_random_cotrees():
         )
 
 
+def assert_realizes_as_reference(t):
+    expected = reference_cotree.realize(t)
+    assert realize(t) == expected
+    rows = neighbour_rows(t)
+    assert list(map(set, rows)) == list(expected.adj)
+    assert sum(map(len, rows)) == 2 * len(expected.edges())  # no repeats
+
+
 def test_realize_matches_reference():
     rng = random.Random(99)
     for _ in range(200):
@@ -267,7 +283,22 @@ def test_realize_matches_reference():
         labels = list(range(n))
         rng.shuffle(labels)
         t = relabel(random_cotree(n, rng.randrange(2**31)), dict(enumerate(labels)))
-        assert realize(t) == reference_cotree.realize(t)
+        assert_realizes_as_reference(t)
+    for t in enumerate_cotrees(6):
+        labels = list(range(t.leaves))
+        rng.shuffle(labels)
+        assert_realizes_as_reference(relabel(t, dict(enumerate(labels))))
+    # Complemented leaves, alone and under a union.
+    assert_realizes_as_reference(parse_cotree("(C L0)"))
+    assert_realizes_as_reference(parse_cotree("(U (C L0) L1)"))
+    assert_realizes_as_reference(threshold_chain(256))
+    # The reference realizer costs about n^3.2 on a chain, so at 2,048
+    # vertices the rows are checked against the chain's own rule: u < v are
+    # adjacent exactly when v is odd, a dominating vertex.
+    n = 2048
+    for v, row in enumerate(neighbour_rows(threshold_chain(n))):
+        lower = list(range(v)) if v % 2 else []
+        assert sorted(row) == lower + list(range(v + 1 + v % 2, n, 2))
 
 
 def threshold_chain(n):
