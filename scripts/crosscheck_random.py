@@ -4,8 +4,11 @@
 Each trial relabels its cograph by a random permutation, so vertex ids do
 not follow the generating cotree's left-to-right leaf order. It also solves
 the generating cotree itself with ``solve_cotree``, each leaf carrying its
-vertex's weight, and flips one random vertex pair of the cograph; when
-``build_cotree`` rejects the result, its witness must be an induced P4.
+vertex's weight, and runs the certificate ``cotree_weak_pair`` on the
+solution's cotree for the solution and for the solution minus one random
+member, against ``is_fault_tolerant``. Then it flips one random vertex pair
+of the cograph: the solution's cotree must not realise the result, and when
+``build_cotree`` rejects it, its witness must be an induced P4.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import sys
 from ftmd import (
     NotCographError,
     build_cotree,
+    cotree_weak_pair,
     from_edges,
     is_fault_tolerant,
     oracle_min_ft,
@@ -23,6 +27,7 @@ from ftmd import (
     solve,
     solve_cotree,
 )
+from ftmd.cotree import realises
 
 
 def is_induced_p4(g, witness):
@@ -54,16 +59,28 @@ def main(argv=None):
         bad_weight = solution.weight != reference.weight
         bad_tree = tree_weight != reference.weight
         bad_cert = not is_fault_tolerant(g, set(solution.vertices))
-        if bad_weight or bad_tree or bad_cert:
+        # The certificate must agree with the definition on the solution and
+        # on the solution minus one member.
+        chosen = list(solution.vertices)
+        if chosen:
+            chosen.remove(rng.choice(chosen))
+        bad_check = any(
+            (cotree_weak_pair(solution.tree, r) is None) != is_fault_tolerant(g, r)
+            for r in (solution.vertices, chosen)
+        )
+        if bad_weight or bad_tree or bad_cert or bad_check:
             mismatches += 1
             print(f"MISMATCH trial={trial} n={n} edges={g.edges()} "
                   f"weights={weights} solver={solution.weight} "
                   f"cotree={tree_weight} oracle={reference.weight} "
-                  f"cert_ok={not bad_cert}")
+                  f"cert_ok={not bad_cert} check_ok={not bad_check}")
         if n < 2:
             continue
         u, v = sorted(rng.sample(range(n), 2))
         flipped = from_edges(n, set(g.edges()) ^ {(u, v)})
+        if realises(solution.tree, flipped) is None:
+            mismatches += 1
+            print(f"REALISES FLIPPED trial={trial} n={n} edges={g.edges()} pair={u} {v}")
         try:
             build_cotree(flipped)
         except NotCographError as exc:

@@ -20,7 +20,7 @@ from .cotree import (
     realize,
     union_node,
 )
-from .resolving import is_fault_tolerant, weak_pair
+from .resolving import cotree_weak_pair, is_fault_tolerant
 from .dp import (
     ComponentOutcome,
     Solution,
@@ -42,6 +42,7 @@ __all__ = [
     "Union",
     "build_cotree",
     "complement_node",
+    "cotree_weak_pair",
     "format_cotree",
     "from_edges",
     "is_fault_tolerant",
@@ -52,5 +53,4 @@ __all__ = [
     "solve",
     "solve_cotree",
     "union_node",
-    "weak_pair",
 ]

@@ -19,11 +19,11 @@ from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
 from .cotree import EmptyGraphError, NotCographError, format_cotree
-from .cotree import neighbour_rows, random_cotree
+from .cotree import neighbour_rows, random_cotree, realises
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
-from .resolving import first_low_h_pair, first_unresolved_pair, weak_pair
+from .resolving import cotree_weak_pair, first_low_h_pair, first_unresolved_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -382,13 +382,11 @@ def cmd_solve(args) -> int:
     if args.cotree:
         print(format_cotree(solution.tree))
     if args.verify:
-        pair = weak_pair(g, solution.vertices)
-        if pair is not None:
-            print(
-                "error: solution failed fault-tolerance verification: "
-                f"pair {pair[0]} {pair[1]} separated fewer than twice",
-                file=sys.stderr,
-            )
+        reason = realises(solution.tree, g)
+        if reason is None and (pair := cotree_weak_pair(solution.tree, solution.vertices)):
+            reason = f"pair {pair[0]} {pair[1]} separated fewer than twice"
+        if reason is not None:
+            print(f"error: solution failed fault-tolerance verification: {reason}", file=sys.stderr)
             return 1
     if args.oracle:
         if g.n > MAX_VERTICES:

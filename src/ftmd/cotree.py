@@ -23,6 +23,9 @@ then orders each module's children into the canonical tree.
 ``neighbour_rows`` goes the other way in O(n + m), reading each vertex's
 neighbours off the complement parity above each union node; ``realize``
 makes a ``Graph`` of them, and ``ftmd gen`` writes them without one.
+``realises`` checks that a tree realizes a given graph by the same walk,
+without building the rows, in O(n + m): it is the first half of the
+certificate behind ``ftmd solve --verify``.
 ``check_labels`` checks that k leaf labels from ``flat`` are distinct and
 below a bound in O(k).
 
@@ -269,38 +272,74 @@ def check_labels(labels: array, n: int) -> None:
         raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
 
 
-def neighbour_rows(t: Cotree) -> list[list[int]]:
-    """The neighbours of each vertex of the graph that ``t`` realizes, as
-    row ``v`` of the result for the leaf labelled ``v``, unsorted. The labels
-    are checked first with ``check_labels``.
+def _joins(t: Cotree) -> Iterator[tuple[list[int], list[int]]]:
+    """The leaf labels of the two sides of each union node with an odd
+    number of complement nodes on or above it, after ``check_labels``.
 
     Two leaves are adjacent exactly when an odd number of complement nodes
-    lie above their lowest common union node. A subtree's leaves are a
-    contiguous slice of ``leaf_labels(t)``, so each such union node extends
-    the rows of its two slices in bulk; the cost is O(n + m).
+    lie on or above their lowest common union node, so every leaf of one
+    side is adjacent to every leaf of the other, and these pairs are all the
+    edges of the graph ``t`` realizes, each once. A subtree's leaves are a
+    contiguous slice of ``leaf_labels(t)``, so each side is one slice.
     """
     kinds, labels = flat(t)
     check_labels(labels, len(labels))
     labels = labels.tolist()
     sizes = _leaf_counts(kinds)
-    rows: list[list[int]] = [[] for _ in labels]
     # (node, index of its first leaf in labels, complement parity above it)
     stack = [(len(kinds) - 1, 0, 0)]
     while stack:
         pos, start, odd = stack.pop()
-        kind = kinds[pos]
-        if kind & UNION:
-            odd ^= kind >> 1  # a complement on the union node sits above it
+        if kinds[pos] & UNION:
+            odd ^= kinds[pos] >> 1  # a complement on the union node sits above it
             right = sizes[pos - 1]
             mid = start + sizes[pos] - right
             if odd:
-                left_part, right_part = labels[start:mid], labels[mid : mid + right]
-                for u in left_part:
-                    rows[u] += right_part
-                for v in right_part:
-                    rows[v] += left_part
+                yield labels[start:mid], labels[mid : mid + right]
             stack += ((pos - 2 * right, start, odd), (pos - 1, mid, odd))
+
+
+def neighbour_rows(t: Cotree) -> list[list[int]]:
+    """The neighbours of each vertex of the graph that ``t`` realizes, as
+    row ``v`` of the result for the leaf labelled ``v``, unsorted. The labels
+    are checked first with ``check_labels``.
+
+    Each pair of sides from ``_joins`` extends the rows of its two slices in
+    bulk; the cost is O(n + m).
+    """
+    rows: list[list[int]] = [[] for _ in range(t.leaves)]
+    for left_part, right_part in _joins(t):
+        for u in left_part:
+            rows[u] += right_part
+        for v in right_part:
+            rows[v] += left_part
     return rows
+
+
+def realises(t: Cotree, g: Graph) -> str | None:
+    """``None`` when ``t`` realizes ``g``, else a reason that reads on its
+    own: the vertex counts, an edge of ``t`` that ``g`` lacks, or the two
+    edge counts.
+
+    Every pair that the sides of a join from ``_joins`` make must be an edge
+    of ``g``: each vertex on the smaller side must have the whole larger
+    side among its neighbours, a subset test in C. The joins hold each edge
+    of ``t`` once, so ``t``'s edges are then exactly ``g``'s when the join
+    sizes sum to ``g``'s edge count. O(n + m) in all, and only one join's
+    sides are held at a time. The labels are checked with ``check_labels``.
+    """
+    if t.leaves != g.n:
+        return f"the cotree has {t.leaves} leaves, the graph {g.n} vertices"
+    edges = 0
+    for sides in _joins(t):
+        small, large = sorted(sides, key=len)
+        for u in small:
+            if not g.adj[u].issuperset(large):
+                w = min(set(large) - g.adj[u])
+                return f"the graph lacks the cotree's edge {min(u, w)} {max(u, w)}"
+        edges += len(small) * len(large)
+    m = sum(map(len, g.adj)) // 2
+    return None if edges == m else f"the cotree has {edges} edges, the graph {m}"
 
 
 def realize(t: Cotree) -> Graph:

@@ -82,9 +82,9 @@ from array import array
 from typing import NamedTuple, Sequence
 
 from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, check_labels, flat
-from .cotree import iter_nodes, leaf_labels, root_components
+from .cotree import iter_nodes, leaf_labels, realises, root_components
 from .graph import Graph, Weight, check_weights
-from .resolving import weak_pair
+from .resolving import cotree_weak_pair
 
 
 def state_index(a: int, b: int, c: int, d: int) -> int:
@@ -364,11 +364,13 @@ class Solution(NamedTuple):
     def verify(self, g: Graph) -> bool:
         """Re-check the certificate: the chosen set is fault-tolerant for ``g``.
 
-        Runs ``resolving.weak_pair``, which uses neither the cotree nor the
-        tables: O(n^2) operations on n-bit masks for a cograph, and exact on
-        any graph.
+        Runs ``cotree.realises(self.tree, g)`` and then
+        ``resolving.cotree_weak_pair(self.tree, self.vertices)``, which use
+        the cotree but not the tables, in O(n + m). Returns False when the
+        tree does not realise ``g``, even if the set would be fault-tolerant
+        for ``g``.
         """
-        return weak_pair(g, self.vertices) is None
+        return realises(self.tree, g) is None and cotree_weak_pair(self.tree, self.vertices) is None
 
 
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:

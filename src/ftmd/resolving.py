@@ -1,19 +1,20 @@
 """Checkers for resolving-set variants.
 
-``weak_pair`` is the structural fault-tolerance certificate behind
-``Solution.verify`` and ``ftmd solve --verify``: adjacency bitsets and the
-diameter bound of connected cographs make it O(n^2) operations on masks
-as wide as a component. The other checkers are deliberately direct
+``cotree_weak_pair`` is the fault-tolerance certificate behind
+``Solution.verify`` and ``ftmd solve --verify``: one bottom-up pass over a
+cotree, O(n), run after ``cotree.realises`` has checked that the tree
+realizes the graph. The other checkers are deliberately direct
 implementations of the definitions (BFS distances, neighbourhood symmetric
-differences); tests and the brute-force oracle use them as the ground truth
-that ``weak_pair`` is tested against.
+differences) on any graph; tests and the brute-force oracle use them as the
+ground truth that ``cotree_weak_pair`` is tested against.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .graph import Graph, bfs_distances, connected_components
+from .cotree import COMPLEMENTED, UNION, Cotree, check_labels, flat, root_components
+from .graph import Graph, bfs_distances
 
 VertexSet = Iterable[int]
 
@@ -97,71 +98,61 @@ def is_2nr(g: Graph, r: VertexSet) -> bool:
     return first_low_h_pair(g, r) is None
 
 
-def _mask(positions: Iterable[int], width: int) -> int:
-    """Bitset of positions below ``width``, built as binary digits in
-    O(width + positions) time; a sum of powers of two would add a mask as
-    wide as the component once per position."""
-    digits = bytearray(b"0") * width
-    for p in positions:
-        digits[~p] = 49  # "1"; the last digit is bit 0
-    return int(digits, 2)
-
-
-def weak_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
+def cotree_weak_pair(tree: Cotree, r: VertexSet) -> tuple[int, int] | None:
     """A pair separated by fewer than two members of ``r``, or ``None`` when
-    ``r`` is fault-tolerant for ``g``.
+    ``r`` is fault-tolerant for the graph that ``tree`` realizes; linear in
+    the tree.
 
-    Works on adjacency bitsets (``int`` masks), one bit per vertex of the
-    component:
+    Members at different distances from ``u`` and ``v`` separate them:
 
-    - across components, ``x`` separates ``u`` and ``v`` exactly when it
-      lies in the component of ``u`` or of ``v``, so only the two
-      components holding the fewest members need a look;
-    - inside a component of diameter at most 2, distances are 0, 1 or 2, so
-      ``x`` separates ``u`` and ``v`` exactly when
-      ``x in {u, v} | (N(u) ^ N(v))``. Two members separate each other, so
-      only pairs with an endpoint outside ``r`` are scanned.
+    - across components, a member separates ``u`` and ``v`` exactly when it
+      lies in the component of one of them, so the two components that
+      hold the fewest members must hold two between them;
+    - inside a component, a connected cograph of diameter at most 2, ``x``
+      separates them exactly when ``x in {u, v} | (N[u] ^ N[v])``, a set
+      that complements leave alone. Below a union node of a component, with
+      ``u`` on one side and ``v`` on the other, that is
+      ``(R & N[u]) | (R & N[v])`` in the union's own graph; pairs with a
+      lower common ancestor are settled below it, where the rest of the
+      graph sees both alike.
 
-    Connected cographs have diameter at most 2, so on a cograph this takes
-    O(n^2) operations on masks no wider than a component: at most one per
-    edge to check the diameter and one per scanned pair. The bound is
-    checked, not assumed: when some component is wider, the answer is
-    ``first_unresolved_pair(g, r, 2)``, so the result is exact on any graph.
+    So each node of a component carries ``(c, x, o, y, s)`` for the graph
+    its subtree realizes: ``c``, the least ``|R & N[v]|`` over its vertices,
+    reached at ``x``; ``o``, the least ``|R - N(v)|``, reached at ``y``; and
+    ``s = |R|``. A chosen leaf is ``(1, v, 1, v, 1)``, a left-out leaf
+    ``(0, v, 0, v, 0)``, and a complement swaps ``(c, x)`` with ``(o, y)``.
+    A union fails with ``(x1, x2)`` when ``c1 + c2 < 2``, else keeps the
+    smaller of ``(c1, x1)`` and ``(c2, x2)``, the smaller of
+    ``(o1 + s2, y1)`` and ``(o2 + s1, y2)``, and ``s1 + s2``.
+
+    With ``cotree.realises`` this certifies an answer for a graph: if the
+    tree realizes ``g`` and this returns ``None``, ``r`` is fault-tolerant
+    for ``g``, whichever way the tree was found. Raises ``ValueError`` when
+    a member or a leaf label is outside ``0 .. n-1`` or labels repeat.
     """
+    n = tree.leaves
     members = frozenset(r)
-    if members and not 0 <= min(members) <= max(members) < g.n:
-        raise ValueError(f"chosen vertex out of range for n={g.n}")
-    components = connected_components(g)
-    if len(components) > 1:
-        load = sorted((len(c & members), min(c)) for c in components)
-        (c1, v1), (c2, v2) = load[:2]
-        if c1 + c2 < 2:
-            return (min(v1, v2), max(v1, v2))
-    # Bit i stands for the i-th vertex of the mask's own component, so the
-    # masks take O(sum of squared component sizes) bits, not O(n^2).
-    pos = {v: i for comp in components for i, v in enumerate(comp)}
-    width = {v: len(comp) for comp in components for v in comp}
-    adj = [_mask(map(pos.__getitem__, g.adj[v]), width[v]) for v in range(g.n)]
-    for comp in components:
-        full = (1 << len(comp)) - 1
-        for u in comp:
-            # Vertices within distance 2 of u, until they cover the component.
-            reach = adj[u] | (1 << pos[u])
-            for w in g.adj[u]:
-                if reach == full:
-                    break
-                reach |= adj[w]
-            if reach != full:
-                return first_unresolved_pair(g, members, 2)
-    own = [1 << pos[v] if v in members else 0 for v in range(g.n)]
-    for comp in components:
-        chosen = sum(map(own.__getitem__, comp))
-        hits = {v: adj[v] & chosen for v in comp}
-        for u in comp:
-            if own[u]:
-                continue
-            hu = hits[u]
-            for v in comp:
-                if v != u and ((hu ^ hits[v]) | own[v]).bit_count() < 2:
-                    return (min(u, v), max(u, v))
+    if members and not 0 <= min(members) <= max(members) < n:
+        raise ValueError(f"chosen vertex out of range for n={n}")
+    check_labels(flat(tree)[1], n)
+    load = []
+    for part in root_components(tree):
+        kinds, labels = flat(part)
+        stack, leaves = [], iter(labels)
+        for kind in kinds:
+            if kind & UNION:
+                (c2, x2, o2, y2, s2), (c1, x1, o1, y1, s1) = stack.pop(), stack.pop()
+                if c1 + c2 < 2:
+                    return (min(x1, x2), max(x1, x2))
+                node = min((c1, x1), (c2, x2)) + min((o1 + s2, y1), (o2 + s1, y2)) + (s1 + s2,)
+            else:
+                v = next(leaves)
+                node = (1, v, 1, v, 1) if v in members else (0, v, 0, v, 0)
+            if kind & COMPLEMENTED:
+                node = node[2:4] + node[:2] + node[4:]
+            stack.append(node)
+        load.append((stack[0][4], stack[0][1]))
+    load.sort()
+    if len(load) > 1 and load[0][0] + load[1][0] < 2:
+        return tuple(sorted((load[0][1], load[1][1])))
     return None

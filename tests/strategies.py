@@ -99,6 +99,19 @@ def enumerate_cotrees(max_leaves):
             yield materialize(shape, [0])
 
 
+def threshold_chain(n):
+    """Canonical cotree of the threshold graph that adds vertex v isolated for
+    even v and dominating for odd v."""
+    t = Leaf(0)
+    for v in range(1, n):
+        if v % 2:
+            co = t if isinstance(t, Leaf) else complement_node(t)
+            t = complement_node(union_node(co, Leaf(v)))
+        else:
+            t = union_node(t, Leaf(v))
+    return t
+
+
 def component_with_forced_0_vertex():
     """Connected cograph whose unique minimum fault-tolerant set leaves one
     vertex with no chosen closed neighbour. Two disjoint copies separate

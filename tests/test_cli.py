@@ -117,6 +117,25 @@ def test_solve_verify_names_the_failing_pair(capsys, monkeypatch, p3_file):
     )
 
 
+def test_solve_verify_rejects_a_cotree_of_another_graph(capsys, monkeypatch, p3_file):
+    import ftmd.cli
+
+    original = ftmd.cli.solve
+    k3 = parse_cotree("(C (U L0 (U L1 L2)))")
+
+    def wrong(g, weights=None):
+        return original(g, weights)._replace(tree=k3)
+
+    monkeypatch.setattr(ftmd.cli, "solve", wrong)
+    code, out, err = run(capsys, ["solve", p3_file, "--verify"])
+    assert code == 1
+    assert out == "2\n0 2\n"
+    assert err == (
+        "error: solution failed fault-tolerance verification: "
+        "the graph lacks the cotree's edge 0 2\n"
+    )
+
+
 def test_solve_oracle_names_a_weight_mismatch(capsys, monkeypatch, p3_file):
     original = cli.oracle_min_ft
 

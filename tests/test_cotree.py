@@ -36,10 +36,11 @@ from ftmd.cotree import (
     leaf_labels,
     neighbour_rows,
     node_count,
+    realises,
     root_components,
 )
 import ftmd.cotree as cotree_module
-from strategies import cotrees, enumerate_cotrees, is_normalized, relabel
+from strategies import cotrees, enumerate_cotrees, is_normalized, relabel, threshold_chain
 import reference_cotree
 from reference_cotree import find_induced_p4
 
@@ -301,17 +302,47 @@ def test_realize_matches_reference():
         assert sorted(row) == lower + list(range(v + 1 + v % 2, n, 2))
 
 
-def threshold_chain(n):
-    """Canonical cotree of the threshold graph that adds vertex v isolated for
-    even v and dominating for odd v."""
-    t = Leaf(0)
-    for v in range(1, n):
-        if v % 2:
-            co = t if isinstance(t, Leaf) else complement_node(t)
-            t = complement_node(union_node(co, Leaf(v)))
-        else:
-            t = union_node(t, Leaf(v))
-    return t
+def mutants(t):
+    """``(tree, graph)`` pairs near ``(t, realize(t))``: the graph with one
+    vertex pair flipped, the tree with two labels swapped, and the tree with
+    the complement flag of one union node flipped."""
+    g = realize(t)
+    edges = set(g.edges())
+    kinds, labels = flat(t)
+    for a, b in combinations(range(t.leaves), 2):
+        yield t, from_edges(t.leaves, edges ^ {(a, b)})
+        yield relabel(t, {**{v: v for v in labels}, a: b, b: a}), g
+    for pos, kind in enumerate(kinds):
+        if kind & cotree_module.UNION:
+            flipped = bytearray(kinds)
+            flipped[pos] ^= cotree_module.COMPLEMENTED
+            yield cotree_module._from_arrays(flipped, labels), g
+
+
+def test_realises_exactly_when_realize_gives_the_graph():
+    rng = random.Random(7)
+    trees = list(enumerate_cotrees(6))
+    for _ in range(20):
+        n = rng.randint(7, 16)
+        trees.append(relabel(random_cotree(n, rng.randrange(2**31)), rng.sample(range(n), n)))
+    rejected = 0
+    for t in trees:
+        assert realises(t, realize(t)) is None
+        for tree, g in mutants(t):
+            reason = realises(tree, g)
+            assert (reason is None) == (realize(tree) == g)
+            rejected += reason is not None
+    assert rejected > 40_000  # most mutants change the graph
+
+
+def test_realises_names_the_reason():
+    p3 = from_edges(3, [(0, 1), (1, 2)])
+    k3 = from_edges(3, [(0, 1), (0, 2), (1, 2)])
+    assert realises(build_cotree(k3), p3) == "the graph lacks the cotree's edge 0 2"
+    assert realises(build_cotree(p3), k3) == "the cotree has 2 edges, the graph 3"
+    assert realises(parse_cotree("(U L0 L1)"), p3) == "the cotree has 2 leaves, the graph 3 vertices"
+    with pytest.raises(ValueError, match="repeat"):
+        realises(parse_cotree("(C (U L0 (U L1 L1)))"), k3)
 
 
 def timed_build(g):

@@ -479,6 +479,16 @@ def test_verify_random_cograph_with_2048_vertices_in_seconds():
     assert time.perf_counter() - start < 10
 
 
+def test_verify_is_false_when_the_tree_realises_another_graph():
+    k2 = from_edges(2, [(0, 1)])
+    solution = solve(k2)
+    assert solution.vertices == (0, 1) and solution.verify(k2)
+    # Every vertex is chosen, which is fault-tolerant for any graph and
+    # passes the certificate on any tree, but this tree is the edgeless
+    # graph's.
+    assert not solution._replace(tree=parse_cotree("(U L0 L1)")).verify(k2)
+
+
 def _reference_solve(g, weights=None):
     """``solve`` with the reference DP in place of the flat one."""
     with pytest.MonkeyPatch.context() as mp:

@@ -1,13 +1,25 @@
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
 
-import ftmd.resolving
-from ftmd import from_edges, is_fault_tolerant, oracle_min_ft, solve, weak_pair
+from ftmd import (
+    build_cotree,
+    cotree_weak_pair,
+    from_edges,
+    is_fault_tolerant,
+    oracle_min_ft,
+    random_cotree,
+    realize,
+    solve,
+    solve_cotree,
+)
 from ftmd.graph import bfs_distances, disjoint_union
 from ftmd.resolving import h, is_2nr, is_k_resolving, is_resolving
+import reference_resolving
+from reference_resolving import weak_pair
 from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs,
@@ -15,7 +27,10 @@ from strategies import (
     complement,
     component_with_forced_0_vertex,
     connected_cographs,
+    enumerate_cotrees,
     graphs_with_subset,
+    relabel,
+    threshold_chain,
 )
 
 K2 = from_edges(2, [(0, 1)])
@@ -194,13 +209,22 @@ def separations(g, r, u, v):
     return sum(dist[u] != dist[v] for dist in rows)
 
 
-def assert_weak_pair_exact(g, r):
-    pair = weak_pair(g, r)
+def assert_pair_exact(pair, g, r):
+    """``pair`` is ``None`` exactly when ``r`` is fault-tolerant for ``g``,
+    and otherwise a pair that fewer than two members separate."""
     assert (pair is None) == is_fault_tolerant(g, r)
     if pair is not None:
         u, v = pair
         assert 0 <= u < v < g.n
         assert separations(g, r, u, v) < 2
+
+
+def assert_certificate_exact(g, r):
+    assert_pair_exact(cotree_weak_pair(build_cotree(g), r), g, r)
+
+
+def assert_weak_pair_exact(g, r):
+    assert_pair_exact(weak_pair(g, r), g, r)
 
 
 def subsets(n):
@@ -216,18 +240,21 @@ def cycle(n):
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
+# The certificate on the cotree, ``cotree_weak_pair``.
+
+
 @given(cographs_with_subset(max_n=12))
 def test_weak_pair_is_exact_on_cographs(gr):
-    assert_weak_pair_exact(*gr)
+    assert_certificate_exact(*gr)
 
 
 @given(connected_cographs(min_n=2, max_n=12), st.data())
 def test_weak_pair_is_exact_on_optimal_sets_and_their_deletions(g, data):
     best = solve(g).vertices
-    assert_weak_pair_exact(g, best)
-    assert weak_pair(g, best) is None
+    assert_certificate_exact(g, best)
+    assert cotree_weak_pair(build_cotree(g), best) is None
     dropped = data.draw(st.sampled_from(best))
-    assert_weak_pair_exact(g, set(best) - {dropped})
+    assert_certificate_exact(g, set(best) - {dropped})
 
 
 def test_weak_pair_is_exact_across_the_ft_2nr_gap():
@@ -235,9 +262,80 @@ def test_weak_pair_is_exact_across_the_ft_2nr_gap():
     g = disjoint_union(side, side)
     ft = oracle_min_ft(g).witness
     # Fault-tolerant but not 2-neighbourhood-resolving.
-    assert weak_pair(g, ft) is None and not is_2nr(g, ft)
+    assert cotree_weak_pair(build_cotree(g), ft) is None and not is_2nr(g, ft)
     for r in subsets(g.n):
-        assert_weak_pair_exact(g, r)
+        assert_certificate_exact(g, r)
+
+
+def test_cotree_weak_pair_is_exact_on_every_small_cotree():
+    # Leaves relabelled, so that vertex ids do not follow leaf order.
+    rng = random.Random(6)
+    for tree in enumerate_cotrees(6):
+        n = tree.leaves
+        tree = relabel(tree, rng.sample(range(n), n))
+        g = realize(tree)
+        rows = [bfs_distances(g, x) for x in range(n)]
+        for r in subsets(n):
+            pair = cotree_weak_pair(tree, r)
+            assert (pair is None) == is_fault_tolerant(g, r)
+            if pair is not None:
+                u, v = pair
+                assert 0 <= u < v < n
+                assert sum(rows[x][u] != rows[x][v] for x in r) < 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: random_cotree(n, 0),
+        lambda n: relabel(random_cotree(n, 1), random.Random(1).sample(range(n), n)),
+        threshold_chain,
+        lambda n: build_cotree(from_edges(n, [(0, v) for v in range(1, n)])),
+        lambda n: build_cotree(from_edges(n, [(v, v + 1) for v in range(0, n, 2)])),
+    ],
+    ids=["random", "random-relabelled", "threshold-chain", "star", "matching"],
+)
+def test_cotree_weak_pair_matches_the_reference_at_2048_vertices(make):
+    tree = make(2048)
+    g = realize(tree)
+    best = solve_cotree(tree).vertices
+    rng = random.Random(2048)
+    sets = [best, rng.sample(best, len(best) - 1), [v for v in range(g.n) if rng.random() < 0.9]]
+    for r in sets:
+        pair = cotree_weak_pair(tree, r)
+        assert (pair is None) == (weak_pair(g, r) is None)
+        if pair is not None:
+            # Distances are symmetric: x separates u and v exactly when the
+            # BFS rows of u and v differ at x.
+            du, dv = (bfs_distances(g, x) for x in pair)
+            assert sum(du[x] != dv[x] for x in r) < 2
+    assert cotree_weak_pair(tree, best) is None
+    assert cotree_weak_pair(tree, sets[1]) is not None
+
+
+def test_weak_pair_rejects_out_of_range_members():
+    for members in ({2}, {-1, 0}):
+        with pytest.raises(ValueError, match="chosen vertex out of range for n=2"):
+            cotree_weak_pair(build_cotree(K2), members)
+
+
+def test_weak_pair_takes_memory_per_component():
+    # Nothing in the certificate grows with a component's size squared, or
+    # with n per component: a 20,000-vertex perfect matching stays small.
+    n = 20_000
+    tree = build_cotree(from_edges(n, [(v, v + 1) for v in range(0, n, 2)]))
+    tracemalloc.start()
+    try:
+        assert cotree_weak_pair(tree, range(n)) is None
+        assert cotree_weak_pair(tree, range(1, n)) == (0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+# The reference ``weak_pair`` on graphs of any kind: it falls back to the
+# BFS definition beyond diameter 2, and stays exact there.
 
 
 def test_weak_pair_is_exact_on_paths_and_cycles():
@@ -268,33 +366,12 @@ def test_weak_pair_is_exact_on_any_graph(gr):
 )
 def test_weak_pair_falls_back_only_beyond_diameter_2(monkeypatch, g, wide):
     calls = []
-    original = ftmd.resolving.first_unresolved_pair
+    original = reference_resolving.first_unresolved_pair
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(ftmd.resolving, "first_unresolved_pair", counting)
+    monkeypatch.setattr(reference_resolving, "first_unresolved_pair", counting)
     weak_pair(g, range(g.n))
     assert bool(calls) == wide
-
-
-def test_weak_pair_rejects_out_of_range_members():
-    for members in ({2}, {-1, 0}):
-        with pytest.raises(ValueError, match="chosen vertex out of range for n=2"):
-            weak_pair(K2, members)
-
-
-def test_weak_pair_masks_take_memory_per_component():
-    # One n-bit mask per vertex would take n^2 / 8 bytes, about 50 MB per
-    # list at n = 20,000; masks with component-local bits take a few bytes.
-    n = 20_000
-    g = from_edges(n, [(v, v + 1) for v in range(0, n, 2)])
-    tracemalloc.start()
-    try:
-        assert weak_pair(g, range(n)) is None
-        assert weak_pair(g, range(1, n)) == (0, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
