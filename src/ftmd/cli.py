@@ -14,16 +14,16 @@ import argparse
 import io
 import math
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
-from .cotree import EmptyGraphError, NotCographError, format_cotree
-from .cotree import neighbour_rows, random_cotree, realises
+from .cotree import EmptyGraphError, NotCographError, build_cotree, format_cotree
+from .cotree import neighbour_rows, random_cotree
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
-from .resolving import cotree_weak_pair, first_low_h_pair, first_unresolved_pair
+from .resolving import certify, first_low_h_pair, first_unresolved_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -249,47 +249,52 @@ def read_edge_list(path: str) -> Graph:
         if edges != m:
             message = f"header announces {m} edges, file has {edges}"
             raise FileFormatError(path, header_no, message)
-        listed = sum(map(len, adj.values()))
         # Freezing a set, not the list, sizes each frozenset as the
         # line-by-line reader's sets did (from a list it can be twice as
-        # large); each list is freed as soon as it is frozen.
-        rows = {v: frozenset(set(adj.pop(v))) for v in list(adj)}
-        if sum(map(len, rows.values())) != listed:
+        # large); each list is freed as soon as it is frozen. A row smaller
+        # than its list holds a repeated edge.
+        rows, repeats = {}, set()
+        for v in list(adj):
+            listed = adj.pop(v)
+            rows[v] = row = frozenset(set(listed))
+            if len(row) < len(listed):
+                repeats.update((v, w) for w, k in Counter(listed).items() if k > 1 and v < w)
+        if repeats:
             # Every edge listed comes before the first other bad line.
-            raise _first_duplicate(path, handle, ids)
+            raise _first_duplicate(path, handle, ids, repeats)
     if lines.error is not None:
         raise lines.error
     none: frozenset[int] = frozenset()
     return Graph._unchecked(n, tuple(rows.pop(v, none) for v in range(n)))
 
 
-def _first_duplicate(path: str, handle: TextIO, ids: _VertexIds) -> FileFormatError:
+def _first_duplicate(
+    path: str, handle: TextIO, ids: _VertexIds, repeats: set[tuple[int, int]]
+) -> FileFormatError:
     """The error for the first edge line that repeats an earlier edge, read
     again from the start of ``handle`` with the ids of the first reading.
-    Every edge line before it must be good. A piece of distinct edges, none
-    seen before, is added in bulk; the piece with the repeat is refused and
-    halved down to the line."""
-    # The header's pair (n, m) goes in too; it is no edge, as ends are below n.
-    seen: set[tuple[int, int]] = set()
+    ``repeats`` holds every edge ``(u, v)``, u < v, listed more than once,
+    and every edge line before the first repeat must be good. A piece that
+    holds none of them is passed over in bulk; a piece that does is refused
+    and halved down to the line, so only lines of ``repeats`` are kept."""
+    met: set[tuple[int, int]] = set()
 
     def add(tokens: list[str]) -> bool:
         try:
             ends = list(map(ids.__getitem__, tokens))
         except ValueError:  # more digits than int() converts
             return False
-        edges = set(zip(ends[::2], ends[1::2]))
-        if len(edges) < len(ends) // 2 or not seen.isdisjoint(edges):
-            return False
-        seen.update(edges)
-        return True
+        return repeats.isdisjoint(zip(ends[::2], ends[1::2]))
 
     def check(fields: list[str]) -> str | None:
-        # The header and the edge lines before the repeat are good, so only
-        # the repeat is refused.
-        if add(fields):
-            return None
-        u, v = map(ids.__getitem__, fields)
-        return f"duplicate edge {u} {v}"
+        # The header's pair (n, m) is no edge in ``repeats``, as ends are
+        # below n.
+        edge = tuple(map(ids.__getitem__, fields))
+        if edge in met:
+            return f"duplicate edge {edge[0]} {edge[1]}"
+        if edge in repeats:
+            met.add(edge)
+        return None
 
     handle.seek(0)
     lines = _Lines(path, add, check)
@@ -381,20 +386,15 @@ def cmd_solve(args) -> int:
     print(" ".join(map(str, solution.vertices)))
     if args.cotree:
         print(format_cotree(solution.tree))
-    if args.verify:
-        reason = realises(solution.tree, g)
-        if reason is None and (pair := cotree_weak_pair(solution.tree, solution.vertices)):
-            reason = f"pair {pair[0]} {pair[1]} separated fewer than twice"
-        if reason is not None:
-            print(f"error: solution failed fault-tolerance verification: {reason}", file=sys.stderr)
-            return 1
+    if args.verify and (reason := certify(solution.tree, g, solution.vertices)):
+        print(f"error: solution failed fault-tolerance verification: {reason}", file=sys.stderr)
+        return 1
     if args.oracle:
-        if g.n > MAX_VERTICES:
-            print(
-                f"error: --oracle is limited to {MAX_VERTICES} vertices", file=sys.stderr
-            )
+        try:
+            reference = oracle_min_ft(g, weights)
+        except ValueError as err:  # more vertices than the oracle enumerates
+            print(f"error: --oracle: {err}", file=sys.stderr)
             return 1
-        reference = oracle_min_ft(g, weights)
         if reference.weight != solution.weight:
             print(
                 f"error: oracle weight {format_weight(reference.weight)} "
@@ -406,6 +406,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    """Print ``YES`` (exit 0) or ``NO: u v`` with the first failing pair
+    (exit 3). Mode ``ft`` answers ``YES`` on a cograph from
+    ``resolving.certify`` on its cotree, in O(n + m); on any other graph, or
+    to name the pair, it runs the definitional search, as the other modes
+    do."""
     g = read_edge_list(args.graph)
     for v in args.vertices:
         if not 0 <= v < g.n:
@@ -415,7 +420,11 @@ def cmd_check(args) -> int:
     if args.mode == "resolving":
         pair = first_unresolved_pair(g, r, 1)
     elif args.mode == "ft":
-        pair = first_unresolved_pair(g, r, 2)
+        try:
+            passed = certify(build_cotree(g), g, r) is None
+        except (NotCographError, EmptyGraphError):
+            passed = False
+        pair = None if passed else first_unresolved_pair(g, r, 2)
     else:
         pair = first_low_h_pair(g, r)
     if pair is None:

@@ -82,9 +82,9 @@ from array import array
 from typing import NamedTuple, Sequence
 
 from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, check_labels, flat
-from .cotree import iter_nodes, leaf_labels, realises, root_components
+from .cotree import iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
-from .resolving import cotree_weak_pair
+from .resolving import certify
 
 
 def state_index(a: int, b: int, c: int, d: int) -> int:
@@ -364,13 +364,13 @@ class Solution(NamedTuple):
     def verify(self, g: Graph) -> bool:
         """Re-check the certificate: the chosen set is fault-tolerant for ``g``.
 
-        Runs ``cotree.realises(self.tree, g)`` and then
-        ``resolving.cotree_weak_pair(self.tree, self.vertices)``, which use
-        the cotree but not the tables, in O(n + m). Returns False when the
-        tree does not realise ``g``, even if the set would be fault-tolerant
-        for ``g``.
+        ``resolving.certify(self.tree, g, self.vertices) is None``: the
+        verdict of ``ftmd solve --verify`` and ``ftmd check GRAPH ft``,
+        which uses the cotree but not the tables, in O(n + m). Returns False
+        when the tree does not realise ``g``, even if the set would be
+        fault-tolerant for ``g``.
         """
-        return realises(self.tree, g) is None and cotree_weak_pair(self.tree, self.vertices) is None
+        return certify(self.tree, g, self.vertices) is None
 
 
 def solve(g: Graph, weights: Sequence[Weight] | None = None) -> Solution:

@@ -1,19 +1,22 @@
 """Checkers for resolving-set variants.
 
-``cotree_weak_pair`` is the fault-tolerance certificate behind
-``Solution.verify`` and ``ftmd solve --verify``: one bottom-up pass over a
-cotree, O(n), run after ``cotree.realises`` has checked that the tree
-realizes the graph. The other checkers are deliberately direct
+``certify`` is the one fault-tolerance verdict behind ``Solution.verify``,
+``ftmd solve --verify`` and ``ftmd check GRAPH ft`` on a cograph:
+``cotree.realises`` checks that a cotree realizes the graph, then
+``cotree_weak_pair``, one bottom-up pass over the cotree, checks the set;
+O(n + m) in all. The other checkers are deliberately direct
 implementations of the definitions (BFS distances, neighbourhood symmetric
 differences) on any graph; tests and the brute-force oracle use them as the
-ground truth that ``cotree_weak_pair`` is tested against.
+ground truth that the certificate is tested against, and ``ftmd check``
+uses them to name the first failing pair and on graphs that are not
+cographs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .cotree import COMPLEMENTED, UNION, Cotree, check_labels, flat, root_components
+from .cotree import COMPLEMENTED, UNION, Cotree, check_labels, flat, realises, root_components
 from .graph import Graph, bfs_distances
 
 VertexSet = Iterable[int]
@@ -156,3 +159,15 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet) -> tuple[int, int] | None:
     if len(load) > 1 and load[0][0] + load[1][0] < 2:
         return tuple(sorted((load[0][1], load[1][1])))
     return None
+
+
+def certify(tree: Cotree, g: Graph, r: VertexSet) -> str | None:
+    """``None`` when ``tree`` realizes ``g`` and ``r`` is fault-tolerant for
+    ``g``, else the reason: ``cotree.realises``' reason why the tree is not
+    ``g``'s, or ``pair u v separated fewer than twice`` from
+    ``cotree_weak_pair``. O(n + m); raises ``ValueError`` as those two do.
+    """
+    reason = realises(tree, g)
+    if reason is None and (pair := cotree_weak_pair(tree, r)):
+        reason = f"pair {pair[0]} {pair[1]} separated fewer than twice"
+    return reason

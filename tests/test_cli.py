@@ -15,6 +15,7 @@ from ftmd import cli
 from ftmd.cli import format_weight, main
 from ftmd.graph import connected_components
 import reference_cotree
+from strategies import relabel
 
 
 def write(tmp_path, name, text):
@@ -183,6 +184,14 @@ def test_solve_oracle_rejected_beyond_limit(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", graph, "--oracle"])
     assert code == 1
     assert "--oracle" in err
+
+
+def test_solve_oracle_names_its_limit_and_the_vertex_count(capsys, tmp_path):
+    body = "".join(f"0 {v}\n" for v in range(1, 21))
+    graph = write(tmp_path, "star.txt", f"21 20\n{body}")
+    code, out, err = run(capsys, ["solve", graph, "--oracle"])
+    assert (code, out.splitlines()[0]) == (1, "20")
+    assert err == "error: --oracle: oracle enumeration is limited to 20 vertices, got 21\n"
 
 
 def test_solve_is_deterministic(capsys, p3_file):
@@ -567,6 +576,33 @@ def test_edge_list_duplicate_search_reads_in_bulk(tmp_path, monkeypatch):
     assert len(calls) < 200
 
 
+def test_edge_list_duplicate_search_holds_only_the_repeats(tmp_path, monkeypatch):
+    # A file that ends with a repeat: a search that kept every edge read
+    # before it would hold all 60,000.
+    edges = slice_test_lines(random.Random(12), 1_000, 60_000)
+    lines = [f"{u} {v}" for u, v in edges] + ["{} {}".format(*edges[0])]
+    graph = write(tmp_path, "g.txt", f"1000 {len(lines)}\n" + "\n".join(lines) + "\n")
+    original = cli._first_duplicate
+    peaks = []
+
+    def measured(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        error = original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return error
+
+    monkeypatch.setattr(cli, "_first_duplicate", measured)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.FileFormatError) as exc:
+            cli.read_edge_list(graph)
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{graph}:{len(lines) + 1}: duplicate edge {lines[-1]}"
+    assert peaks[0] < 2**20
+
+
 @pytest.mark.parametrize(
     "bad,at,message",
     [
@@ -811,6 +847,105 @@ def test_check_out_of_range_vertex(capsys, p3_file):
     code, _, err = run(capsys, ["check", p3_file, "ft", "7"])
     assert code == 1
     assert "out of range" in err
+
+
+def count_calls(monkeypatch, name):
+    """A list that records every call of ``ftmd.resolving``'s function
+    ``name``, also where ``ftmd.cli`` looks it up if it imports it."""
+    import ftmd.resolving
+
+    calls = []
+    original = getattr(ftmd.resolving, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ftmd.resolving, name, counting)
+    if hasattr(cli, name):
+        monkeypatch.setattr(cli, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 2**11])
+def test_check_ft_yes_on_a_cograph_runs_no_pair_search(capsys, monkeypatch, tmp_path, n):
+    # A star with every leaf chosen; at 2^11 the pair search took minutes.
+    body = "".join(f"0 {v}\n" for v in range(1, n))
+    graph = write(tmp_path, "star.txt", f"{n} {n - 1}\n{body}")
+    calls = count_calls(monkeypatch, "first_unresolved_pair")
+    code, out, _ = run(capsys, ["check", graph, "ft", *map(str, range(1, n))])
+    assert (code, out, calls) == (0, "YES\n", [])
+
+
+def test_check_ft_matches_the_pair_search_on_random_cographs(capsys, tmp_path):
+    rng = random.Random(25)
+    disconnected = []
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        tree = relabel(ftmd.random_cotree(n, rng.randrange(2**32)), rng.sample(range(n), n))
+        g = realize(tree)
+        disconnected.append(len(connected_components(g)) > 1)
+        edges = g.edges()
+        body = "".join(f"{u} {v}\n" for u, v in edges)
+        graph = write(tmp_path, "g.txt", f"{n} {len(edges)}\n{body}")
+        best = ftmd.solve(g).vertices
+        sets = [best, rng.sample(range(n), rng.randint(0, n))]
+        if best:
+            sets.append(set(best) - {rng.choice(best)})
+        for r in sets:
+            pair = ftmd.resolving.first_unresolved_pair(g, r, 2)
+            expected = (0, "YES\n") if pair is None else (3, f"NO: {pair[0]} {pair[1]}\n")
+            code, out, _ = run(capsys, ["check", graph, "ft", *map(str, r)])
+            assert (code, out) == expected
+    assert 0 < sum(disconnected) < len(disconnected)
+
+
+C5 = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
+
+
+@pytest.mark.parametrize(
+    "text,vertices,answer",
+    [
+        (C5, [], "NO: 0 1"),
+        (C5, [0, 1], "NO: 0 2"),
+        (C5, [0, 2, 4], "YES"),
+        (C5, [0, 1, 2, 3, 4], "YES"),
+        ("0 0\n", [], "YES"),
+        ("1 0\n", [], "YES"),
+        ("1 0\n", [0], "YES"),
+    ],
+)
+def test_check_ft_on_other_graphs_keeps_the_pair_search(capsys, tmp_path, text, vertices, answer):
+    # The 5-cycle is no cograph and the empty graph has no cotree.
+    graph = write(tmp_path, "g.txt", text)
+    code, out, _ = run(capsys, ["check", graph, "ft", *map(str, vertices)])
+    assert (code, out) == (0 if answer == "YES" else 3, answer + "\n")
+
+
+def test_verify_and_check_ft_reach_the_certificate_through_certify(capsys, monkeypatch, p3_file):
+    realises = count_calls(monkeypatch, "realises")
+    weak_pairs = count_calls(monkeypatch, "cotree_weak_pair")
+    assert run(capsys, ["solve", p3_file, "--verify"])[:2] == (0, "2\n0 2\n")
+    assert run(capsys, ["check", p3_file, "ft", "0", "2"])[:2] == (0, "YES\n")
+    g = cli.read_edge_list(p3_file)
+    assert ftmd.solve(g).verify(g)
+    assert len(realises) == len(weak_pairs) == 3
+
+
+def test_solve_verify_rejects_a_set_missing_one_member(capsys, monkeypatch, p3_file):
+    original = cli.solve
+
+    def short(g, weights=None):
+        solution = original(g, weights)
+        return solution._replace(vertices=solution.vertices[1:])
+
+    monkeypatch.setattr(cli, "solve", short)
+    code, out, err = run(capsys, ["solve", p3_file, "--verify"])
+    assert (code, out) == (1, "2\n2\n")
+    assert err == (
+        "error: solution failed fault-tolerance verification: "
+        "pair 0 2 separated fewer than twice\n"
+    )
 
 
 def test_gen_single_vertex(capsys):

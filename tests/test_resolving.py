@@ -11,13 +11,14 @@ from ftmd import (
     from_edges,
     is_fault_tolerant,
     oracle_min_ft,
+    parse_cotree,
     random_cotree,
     realize,
     solve,
     solve_cotree,
 )
 from ftmd.graph import bfs_distances, disjoint_union
-from ftmd.resolving import h, is_2nr, is_k_resolving, is_resolving
+from ftmd.resolving import certify, h, is_2nr, is_k_resolving, is_resolving
 import reference_resolving
 from reference_resolving import weak_pair
 from signatures import k_vertex_profile, state_signature
@@ -311,6 +312,19 @@ def test_cotree_weak_pair_matches_the_reference_at_2048_vertices(make):
             assert sum(du[x] != dv[x] for x in r) < 2
     assert cotree_weak_pair(tree, best) is None
     assert cotree_weak_pair(tree, sets[1]) is not None
+
+
+def test_certify_is_verify_with_its_reason():
+    solution = solve(P3)
+    other = parse_cotree("(C (U L0 (U L1 L2)))")
+    cases = [
+        (solution, None),
+        (solution._replace(vertices=solution.vertices[1:]), "pair 0 2 separated fewer than twice"),
+        (solution._replace(tree=other), "the graph lacks the cotree's edge 0 2"),
+    ]
+    for s, reason in cases:
+        assert certify(s.tree, P3, s.vertices) == reason
+        assert s.verify(P3) == (reason is None)
 
 
 def test_weak_pair_rejects_out_of_range_members():
