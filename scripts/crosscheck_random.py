@@ -6,8 +6,11 @@ not follow the generating cotree's left-to-right leaf order. It also solves
 the generating cotree itself with ``solve_cotree``, each leaf carrying its
 vertex's weight, and runs the certificate ``cotree_weak_pair`` on the
 solution's cotree for the solution and for the solution minus one random
-member, against ``is_fault_tolerant``. Then it flips one random vertex pair
-of the cograph: the solution's cotree must not realise the result, and when
+member, against ``is_fault_tolerant``. On those two sets and a random one,
+``cotree_weak_pair`` in each mode (``resolving``, ``ft``, ``2nr``) must name
+the pair that the definitional search names (``first_unresolved_pair`` with
+k = 1 or 2, ``first_low_h_pair``). Then it flips one random vertex pair of
+the cograph: the solution's cotree must not realise the result, and when
 ``build_cotree`` rejects it, its witness must be an induced P4.
 """
 
@@ -28,6 +31,13 @@ from ftmd import (
     solve_cotree,
 )
 from ftmd.cotree import realises
+from ftmd.resolving import first_low_h_pair, first_unresolved_pair
+
+DEFINITIONS = {
+    "resolving": lambda g, r: first_unresolved_pair(g, r, 1),
+    "ft": lambda g, r: first_unresolved_pair(g, r, 2),
+    "2nr": first_low_h_pair,
+}
 
 
 def is_induced_p4(g, witness):
@@ -68,12 +78,21 @@ def main(argv=None):
             (cotree_weak_pair(solution.tree, r) is None) != is_fault_tolerant(g, r)
             for r in (solution.vertices, chosen)
         )
-        if bad_weight or bad_tree or bad_cert or bad_check:
+        # The least failing pair in every mode, as the definitions name it.
+        sets = (solution.vertices, chosen, rng.sample(range(n), rng.randint(0, n)))
+        bad_modes = sorted({
+            mode
+            for r in sets
+            for mode, search in DEFINITIONS.items()
+            if cotree_weak_pair(solution.tree, r, mode) != search(g, r)
+        })
+        if bad_weight or bad_tree or bad_cert or bad_check or bad_modes:
             mismatches += 1
             print(f"MISMATCH trial={trial} n={n} edges={g.edges()} "
                   f"weights={weights} solver={solution.weight} "
                   f"cotree={tree_weight} oracle={reference.weight} "
-                  f"cert_ok={not bad_cert} check_ok={not bad_check}")
+                  f"cert_ok={not bad_cert} check_ok={not bad_check} "
+                  f"bad_modes={bad_modes}")
         if n < 2:
             continue
         u, v = sorted(rng.sample(range(n), 2))

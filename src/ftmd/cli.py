@@ -18,12 +18,12 @@ from collections import Counter, defaultdict
 from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
+from . import resolving
 from .cotree import EmptyGraphError, NotCographError, build_cotree, format_cotree
 from .cotree import neighbour_rows, random_cotree
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
-from .resolving import certify, first_low_h_pair, first_unresolved_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -386,7 +386,7 @@ def cmd_solve(args) -> int:
     print(" ".join(map(str, solution.vertices)))
     if args.cotree:
         print(format_cotree(solution.tree))
-    if args.verify and (reason := certify(solution.tree, g, solution.vertices)):
+    if args.verify and (reason := resolving.certify(solution.tree, g, solution.vertices)):
         print(f"error: solution failed fault-tolerance verification: {reason}", file=sys.stderr)
         return 1
     if args.oracle:
@@ -406,27 +406,27 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Print ``YES`` (exit 0) or ``NO: u v`` with the first failing pair
-    (exit 3). Mode ``ft`` answers ``YES`` on a cograph from
-    ``resolving.certify`` on its cotree, in O(n + m); on any other graph, or
-    to name the pair, it runs the definitional search, as the other modes
-    do."""
+    """Print ``YES`` (exit 0) or ``NO: u v`` with the least failing pair
+    (exit 3). On a cograph every mode answers on the cotree in O(n + m):
+    ``build_cotree``, ``realises`` to certify the tree, then
+    ``cotree_weak_pair``. On any other graph, on the empty graph, and if the
+    tree were not the graph's, the definitional search answers."""
     g = read_edge_list(args.graph)
     for v in args.vertices:
         if not 0 <= v < g.n:
             print(f"error: vertex {v} out of range for n={g.n}", file=sys.stderr)
             return 1
-    r = frozenset(args.vertices)
-    if args.mode == "resolving":
-        pair = first_unresolved_pair(g, r, 1)
-    elif args.mode == "ft":
-        try:
-            passed = certify(build_cotree(g), g, r) is None
-        except (NotCographError, EmptyGraphError):
-            passed = False
-        pair = None if passed else first_unresolved_pair(g, r, 2)
+    try:
+        tree = build_cotree(g)
+        certified = resolving.realises(tree, g) is None
+    except (NotCographError, EmptyGraphError):
+        certified = False
+    if certified:
+        pair = resolving.cotree_weak_pair(tree, args.vertices, args.mode)
+    elif args.mode == "2nr":
+        pair = resolving.first_low_h_pair(g, args.vertices)
     else:
-        pair = first_low_h_pair(g, r)
+        pair = resolving.first_unresolved_pair(g, args.vertices, 2 if args.mode == "ft" else 1)
     if pair is None:
         print("YES")
         return 0

@@ -1,25 +1,30 @@
 """Checkers for resolving-set variants.
 
-``certify`` is the one fault-tolerance verdict behind ``Solution.verify``,
-``ftmd solve --verify`` and ``ftmd check GRAPH ft`` on a cograph:
-``cotree.realises`` checks that a cotree realizes the graph, then
-``cotree_weak_pair``, one bottom-up pass over the cotree, checks the set;
-O(n + m) in all. The other checkers are deliberately direct
+``cotree_weak_pair`` is one bottom-up pass over a cotree that names the
+least pair at which a set fails to resolve, to resolve fault-tolerantly, or
+to 2-neighbourhood-resolve the graph the cotree realizes; ``ftmd check``
+answers with it on every cograph, after ``cotree.realises`` has checked the
+tree, in O(n + m). ``certify`` runs the same two for the one
+fault-tolerance verdict behind ``Solution.verify`` and
+``ftmd solve --verify``. The other checkers are deliberately direct
 implementations of the definitions (BFS distances, neighbourhood symmetric
 differences) on any graph; tests and the brute-force oracle use them as the
-ground truth that the certificate is tested against, and ``ftmd check``
-uses them to name the first failing pair and on graphs that are not
-cographs.
+ground truth that the cotree pass is tested against, and ``ftmd check``
+uses them on graphs that are not cographs.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from .cotree import COMPLEMENTED, UNION, Cotree, check_labels, flat, realises, root_components
 from .graph import Graph, bfs_distances
 
 VertexSet = Iterable[int]
+# A node kind of ``cotree_weak_pair``'s walk only: a whole component taken
+# as one vertex.
+_LONE = 4
 
 
 def h(g: Graph, r: VertexSet, u: int, v: int) -> int:
@@ -101,73 +106,93 @@ def is_2nr(g: Graph, r: VertexSet) -> bool:
     return first_low_h_pair(g, r) is None
 
 
-def cotree_weak_pair(tree: Cotree, r: VertexSet) -> tuple[int, int] | None:
-    """A pair separated by fewer than two members of ``r``, or ``None`` when
-    ``r`` is fault-tolerant for the graph that ``tree`` realizes; linear in
-    the tree.
+def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft", first=False) -> tuple[int, int] | None:
+    """The least pair ``(u, v)``, ``u < v``, at which ``r`` fails ``mode``
+    in the graph that ``tree`` realizes, or ``None``; one bottom-up pass,
+    linear in the tree. Modes ``"resolving"``, ``"ft"`` and ``"2nr"`` answer
+    as ``first_unresolved_pair(g, r, 1)``, ``first_unresolved_pair(g, r, 2)``
+    and ``first_low_h_pair(g, r)`` do. With ``first``, the pass stops at the
+    first union node in post-order that has a failing pair, and returns that
+    node's least one.
 
-    Members at different distances from ``u`` and ``v`` separate them:
+    Each pair has one lowest union node above it, and every vertex outside
+    that node's subtree sees both ends alike. With ``u`` on one side and
+    ``v`` on the other, the members that count for the pair are
+    ``(R & N[u]) | (R & N[v])`` in the union's own graph, a set that
+    complements leave alone: ``h`` counts it at every union, and so do
+    distances inside a component, a connected cograph of diameter at most 2.
+    So the pair fails when ``c(u) + c(v) < 2``, with ``c(x) = |R & N[x]|``;
+    in mode ``resolving`` a member counts twice, as one is enough there.
+    Across components a member is at different distances from ``u`` and
+    ``v`` exactly when it lies in the component of one of them, so in modes
+    ``resolving`` and ``ft`` each component meets the others as one vertex,
+    its least, whose ``c`` counts all the component's members.
 
-    - across components, a member separates ``u`` and ``v`` exactly when it
-      lies in the component of one of them, so the two components that
-      hold the fewest members must hold two between them;
-    - inside a component, a connected cograph of diameter at most 2, ``x``
-      separates them exactly when ``x in {u, v} | (N[u] ^ N[v])``, a set
-      that complements leave alone. Below a union node of a component, with
-      ``u`` on one side and ``v`` on the other, that is
-      ``(R & N[u]) | (R & N[v])`` in the union's own graph; pairs with a
-      lower common ancestor are settled below it, where the rest of the
-      graph sees both alike.
+    Each node carries ``(x0, x1, y0, y1, s)`` for the graph its subtree
+    realizes: ``xj``, the least vertex with ``c`` equal to ``j``; ``yj``,
+    the least with ``|R - N(v)|``, its ``c`` in the complement, equal to
+    ``j``; ``n`` where there is none; and ``s``, the count of ``R`` capped at
+    2. A lone vertex with count ``c`` is both ``xc`` and ``yc``. A
+    complement swaps the ``x`` and ``y`` pairs. A union keeps the lesser
+    ``x`` of each count, shifts each side's ``y`` counts by the other side's
+    ``s``, and adds the ``s``; its least failing pair is one side's ``x0``
+    with the lesser ``x`` of the other side, or one side's ``x1`` with the
+    other side's ``x0``.
 
-    So each node of a component carries ``(c, x, o, y, s)`` for the graph
-    its subtree realizes: ``c``, the least ``|R & N[v]|`` over its vertices,
-    reached at ``x``; ``o``, the least ``|R - N(v)|``, reached at ``y``; and
-    ``s = |R|``. A chosen leaf is ``(1, v, 1, v, 1)``, a left-out leaf
-    ``(0, v, 0, v, 0)``, and a complement swaps ``(c, x)`` with ``(o, y)``.
-    A union fails with ``(x1, x2)`` when ``c1 + c2 < 2``, else keeps the
-    smaller of ``(c1, x1)`` and ``(c2, x2)``, the smaller of
-    ``(o1 + s2, y1)`` and ``(o2 + s1, y2)``, and ``s1 + s2``.
-
-    With ``cotree.realises`` this certifies an answer for a graph: if the
-    tree realizes ``g`` and this returns ``None``, ``r`` is fault-tolerant
-    for ``g``, whichever way the tree was found. Raises ``ValueError`` when
+    With ``cotree.realises`` this certifies an answer for a graph, whichever
+    way the tree was found. Raises ``ValueError`` for another mode, or when
     a member or a leaf label is outside ``0 .. n-1`` or labels repeat.
     """
+    if mode not in ("resolving", "ft", "2nr"):
+        raise ValueError(f"unknown mode {mode!r}")
     n = tree.leaves
     members = frozenset(r)
     if members and not 0 <= min(members) <= max(members) < n:
         raise ValueError(f"chosen vertex out of range for n={n}")
     check_labels(flat(tree)[1], n)
-    load = []
+    unit = 2 if mode == "resolving" else 1
+    # Below the first component, an empty graph that fails nothing.
+    best, stack = (n, n), [(n, n, n, n, 0)]
     for part in root_components(tree):
         kinds, labels = flat(part)
-        stack, leaves = [], iter(labels)
-        for kind in kinds:
+        leaves = iter(labels)
+        # After its nodes, a component becomes one vertex in modes resolving
+        # and ft, then joins the components before it.
+        for kind in chain(kinds, (UNION,) if mode == "2nr" else (_LONE, UNION)):
             if kind & UNION:
-                (c2, x2, o2, y2, s2), (c1, x1, o1, y1, s1) = stack.pop(), stack.pop()
-                if c1 + c2 < 2:
-                    return (min(x1, x2), max(x1, x2))
-                node = min((c1, x1), (c2, x2)) + min((o1 + s2, y1), (o2 + s1, y2)) + (s1 + s2,)
+                # x pairs in a and b, y pairs in c and d, counts s and t.
+                (b0, b1, d0, d1, t), (a0, a1, c0, c1, s) = stack.pop(), stack.pop()
+                if a0 < n and min(b0, b1) < n or a1 < n > b0:
+                    for u, v in ((a0, min(b0, b1)), (a1, b0)):
+                        if max(u, v) < n and (pair := (min(u, v), max(u, v))) < best:
+                            best = pair
+                    if first:
+                        return best
+                # Conditionals, not min(), below: twice as fast in this loop.
+                c0, c1 = (c0, c1) if t == 0 else (n, c0) if t == 1 else (n, n)
+                d0, d1 = (d0, d1) if s == 0 else (n, d0) if s == 1 else (n, n)
+                x0, x1 = a0 if a0 < b0 else b0, a1 if a1 < b1 else b1
+                y0, y1 = c0 if c0 < d0 else d0, c1 if c1 < d1 else d1
+                s = s + t if s + t < 2 else 2
+                stack.append((y0, y1, x0, x1, s) if kind & COMPLEMENTED else (x0, x1, y0, y1, s))
             else:
-                v = next(leaves)
-                node = (1, v, 1, v, 1) if v in members else (0, v, 0, v, 0)
-            if kind & COMPLEMENTED:
-                node = node[2:4] + node[:2] + node[4:]
-            stack.append(node)
-        load.append((stack[0][4], stack[0][1]))
-    load.sort()
-    if len(load) > 1 and load[0][0] + load[1][0] < 2:
-        return tuple(sorted((load[0][1], load[1][1])))
-    return None
+                if kind == _LONE:
+                    v, c = min(labels), stack.pop()[4]
+                else:
+                    c = unit if (v := next(leaves)) in members else 0
+                stack.append((v if c == 0 else n, v if c == 1 else n) * 2 + (c,))
+    return None if best[0] == n else best
 
 
 def certify(tree: Cotree, g: Graph, r: VertexSet) -> str | None:
     """``None`` when ``tree`` realizes ``g`` and ``r`` is fault-tolerant for
     ``g``, else the reason: ``cotree.realises``' reason why the tree is not
-    ``g``'s, or ``pair u v separated fewer than twice`` from
-    ``cotree_weak_pair``. O(n + m); raises ``ValueError`` as those two do.
+    ``g``'s, or ``pair u v separated fewer than twice`` with the pair from
+    ``cotree_weak_pair`` in mode ``ft``. Any failing pair refutes the set, so
+    the pass stops at the first (``first=True``); naming the least one is
+    ``ftmd check``'s task. O(n + m); raises ``ValueError`` as those two do.
     """
     reason = realises(tree, g)
-    if reason is None and (pair := cotree_weak_pair(tree, r)):
+    if reason is None and (pair := cotree_weak_pair(tree, r, "ft", True)):
         reason = f"pair {pair[0]} {pair[1]} separated fewer than twice"
     return reason

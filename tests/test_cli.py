@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from ftmd import cli
 from ftmd.cli import format_weight, main
 from ftmd.graph import connected_components
 import reference_cotree
+from reference_resolving import MODES, definition
 from strategies import relabel
 
 
@@ -810,31 +812,28 @@ def test_check_no_reports_pair(capsys, p3_file):
 
 
 @pytest.mark.parametrize(
-    "mode,vertices,pair,search",
+    "graph,mode,vertices,pair,search",
     [
-        ("resolving", ["1"], "0 2", "first_unresolved_pair"),
-        ("ft", ["0", "1"], "0 2", "first_unresolved_pair"),
-        ("2nr", ["0", "1"], "0 2", "first_low_h_pair"),
+        ("p3", "resolving", ["1"], "0 2", "cotree_weak_pair"),
+        ("p3", "ft", ["0", "1"], "0 2", "cotree_weak_pair"),
+        ("p3", "2nr", ["0", "1"], "0 2", "cotree_weak_pair"),
+        ("c5", "resolving", ["0"], "1 4", "first_unresolved_pair"),
+        ("c5", "ft", ["0", "1"], "0 2", "first_unresolved_pair"),
+        ("c5", "2nr", ["0", "2"], "0 4", "first_low_h_pair"),
     ],
 )
-def test_check_runs_one_pair_search(capsys, monkeypatch, p3_file, mode, vertices, pair, search):
-    import ftmd.cli
-    import ftmd.resolving
-
-    calls = []
-    original = getattr(ftmd.resolving, search)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    # Also where the predicates look it up, so that a predicate evaluated
-    # beside the search would count.
-    for module in (ftmd.cli, ftmd.resolving):
-        monkeypatch.setattr(module, search, counting)
-    code, out, _ = run(capsys, ["check", p3_file, mode, *vertices])
+def test_check_runs_one_pair_search(
+    capsys, monkeypatch, tmp_path, p3_file, graph, mode, vertices, pair, search
+):
+    # One search per answer: the cotree walk on a cograph, the definition
+    # on the 5-cycle. Counted also where the predicates look the searches
+    # up, so that a predicate evaluated beside the search would count.
+    searches = ("cotree_weak_pair", "first_unresolved_pair", "first_low_h_pair")
+    calls = {name: count_calls(monkeypatch, name) for name in searches}
+    path = p3_file if graph == "p3" else write(tmp_path, "c5.txt", C5)
+    code, out, _ = run(capsys, ["check", path, mode, *vertices])
     assert (code, out) == (3, f"NO: {pair}\n")
-    assert len(calls) == 1
+    assert {name: len(c) for name, c in calls.items()} == {s: int(s == search) for s in searches}
 
 
 def test_check_modes(capsys, p3_file):
@@ -867,14 +866,21 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("n", [3, 2**11])
-def test_check_ft_yes_on_a_cograph_runs_no_pair_search(capsys, monkeypatch, tmp_path, n):
+DEFINITIONAL = ("first_unresolved_pair", "first_low_h_pair")
+
+
+@pytest.mark.parametrize(
+    "n,mode",
+    # Mode ft keeps the bare ids [3] and [2048].
+    [pytest.param(n, m, id=str(n) if m == "ft" else f"{n}-{m}") for n in (3, 2**11) for m in MODES],
+)
+def test_check_ft_yes_on_a_cograph_runs_no_pair_search(capsys, monkeypatch, tmp_path, n, mode):
     # A star with every leaf chosen; at 2^11 the pair search took minutes.
     body = "".join(f"0 {v}\n" for v in range(1, n))
     graph = write(tmp_path, "star.txt", f"{n} {n - 1}\n{body}")
-    calls = count_calls(monkeypatch, "first_unresolved_pair")
-    code, out, _ = run(capsys, ["check", graph, "ft", *map(str, range(1, n))])
-    assert (code, out, calls) == (0, "YES\n", [])
+    calls = [count_calls(monkeypatch, name) for name in DEFINITIONAL]
+    code, out, _ = run(capsys, ["check", graph, mode, *map(str, range(1, n))])
+    assert (code, out, calls) == (0, "YES\n", [[], []])
 
 
 def test_check_ft_matches_the_pair_search_on_random_cographs(capsys, tmp_path):
@@ -892,10 +898,10 @@ def test_check_ft_matches_the_pair_search_on_random_cographs(capsys, tmp_path):
         sets = [best, rng.sample(range(n), rng.randint(0, n))]
         if best:
             sets.append(set(best) - {rng.choice(best)})
-        for r in sets:
-            pair = ftmd.resolving.first_unresolved_pair(g, r, 2)
+        for r, mode in itertools.product(sets, MODES):
+            pair = definition(g, r, mode)
             expected = (0, "YES\n") if pair is None else (3, f"NO: {pair[0]} {pair[1]}\n")
-            code, out, _ = run(capsys, ["check", graph, "ft", *map(str, r)])
+            code, out, _ = run(capsys, ["check", graph, mode, *map(str, r)])
             assert (code, out) == expected
     assert 0 < sum(disconnected) < len(disconnected)
 
@@ -930,6 +936,31 @@ def test_verify_and_check_ft_reach_the_certificate_through_certify(capsys, monke
     g = cli.read_edge_list(p3_file)
     assert ftmd.solve(g).verify(g)
     assert len(realises) == len(weak_pairs) == 3
+
+
+@pytest.mark.parametrize(
+    "mode,answer", [("resolving", "1022 1023"), ("ft", "1022 1023"), ("2nr", "1 1022")]
+)
+def test_check_names_the_least_pair_of_a_cograph_without_the_pair_search(
+    capsys, monkeypatch, tmp_path, mode, answer
+):
+    # A star on 0..1021 with its leaves chosen, and an unchosen edge
+    # 1022-1023: the definitional search takes seconds to name these pairs.
+    body = "".join(f"0 {v}\n" for v in range(1, 1022)) + "1022 1023\n"
+    graph = write(tmp_path, "g.txt", f"1024 1022\n{body}")
+    calls = [count_calls(monkeypatch, name) for name in DEFINITIONAL]
+    code, out, _ = run(capsys, ["check", graph, mode, *map(str, range(1, 1022))])
+    assert (code, out, calls) == (3, f"NO: {answer}\n", [[], []])
+
+
+def test_check_falls_back_to_the_definition_when_the_cotree_is_not_the_graphs(
+    capsys, monkeypatch, p3_file
+):
+    # The star centred on 0 is not P3's tree; on it {0, 2} fails at 1 2.
+    monkeypatch.setattr(cli, "build_cotree", lambda g: parse_cotree("(C (U L0 (C (U L1 L2))))"))
+    walks = count_calls(monkeypatch, "cotree_weak_pair")
+    assert run(capsys, ["check", p3_file, "ft", "0", "2"])[:2] == (0, "YES\n")
+    assert walks == []
 
 
 def test_solve_verify_rejects_a_set_missing_one_member(capsys, monkeypatch, p3_file):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -20,7 +21,7 @@ from ftmd import (
 from ftmd.graph import bfs_distances, disjoint_union
 from ftmd.resolving import certify, h, is_2nr, is_k_resolving, is_resolving
 import reference_resolving
-from reference_resolving import weak_pair
+from reference_resolving import MODES, definition, weak_pair
 from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs,
@@ -312,6 +313,27 @@ def test_cotree_weak_pair_matches_the_reference_at_2048_vertices(make):
             assert sum(du[x] != dv[x] for x in r) < 2
     assert cotree_weak_pair(tree, best) is None
     assert cotree_weak_pair(tree, sets[1]) is not None
+
+
+def test_cotree_weak_pair_is_the_least_failing_pair_in_every_mode():
+    # Every set on every tree with up to 5 leaves, and a seeded sample of
+    # sets at 6 leaves; leaves relabelled, so that vertex ids do not follow
+    # leaf order.
+    rng = random.Random(27)
+    for tree in enumerate_cotrees(6):
+        n = tree.leaves
+        tree = relabel(tree, rng.sample(range(n), n))
+        g = realize(tree)
+        sets = list(subsets(n))
+        if n == 6:
+            sets = rng.sample(sets, 3)
+        for r, mode in itertools.product(sets, MODES):
+            assert cotree_weak_pair(tree, r, mode) == definition(g, r, mode), (tree, r, mode)
+
+
+def test_cotree_weak_pair_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'k2'"):
+        cotree_weak_pair(build_cotree(K2), {0, 1}, "k2")
 
 
 def test_certify_is_verify_with_its_reason():
