@@ -79,10 +79,13 @@ class NotCographError(Exception):
 
 
 class _Arrays:
-    """One tree's two arrays, shared by all views of it."""
+    """One tree's two arrays, shared by all views of it, and
+    ``labels_below``: None, or the n that ``dp.solve_cotree`` has checked
+    the labels against, which every subtree's labels then pass too."""
 
     def __init__(self, kinds: bytearray, labels: array):
         self.kinds, self.labels = kinds, labels
+        self.labels_below: int | None = None
 
     @cached_property
     def sizes(self) -> array:

@@ -171,8 +171,12 @@ class TableEntry(NamedTuple):
 # (``dict.fromkeys`` keeps one), and ``_complement_shapes`` links the two.
 # Only unions look shapes up by their states, so the leaf's tuple is not in
 # ``_shape_ids``. A cell of ``_union_plans`` is None until the plan of its
-# two shapes is first used: a solve needs few of the 400 plans, and filling
-# them all costs milliseconds per process.
+# two shapes is first used. A solve fills few of the 400 plans: of the
+# seed-1 benchmark instances, 4 for the deep-chain one, 24 for the first
+# verify-mid one and 270 for the first cotree-input one. Filling all 400
+# costs 6.4 to 6.9 ms per process (4.8 to 8.3 ms in three later processes,
+# 2-vCPU Xeon), which deep-chain and verify-mid would pay for plans they
+# almost never use, so the grid stays lazy.
 _shape_states: list[tuple[int, ...]] = [_LEAF_STATES] + [
     shape
     for states in (
@@ -240,7 +244,9 @@ def dp_run(
     complement only relabels its table's shape. When ``trace`` is a list,
     every node's table is appended to it in post-order, with a view of the
     node. Raises ``ValueError`` when leaf labels repeat or fall outside
-    ``range(len(weights))``.
+    ``range(len(weights))``. Each call checks them, except on a part of a
+    tree whose labels ``solve_cotree`` has checked against as many weights:
+    they pass there, so a solve checks its labels once.
 
     The root table's cheapest entry is the fault-tolerant optimum only for
     a connected tree. On a disconnected tree it is the cheapest set that
@@ -248,7 +254,8 @@ def dp_run(
     more; ``solve_cotree`` solves such a tree per component.
     """
     kinds, labels = flat(t)
-    check_labels(labels, len(weights))
+    if t._tree.labels_below != len(weights):
+        check_labels(labels, len(weights))
     left = array("i", [-1])
     left += labels
     right = array("i", [-1]) * len(left)
@@ -397,6 +404,8 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     is excluded (the other components already separate it twice, and with
     no other vertices the condition is vacuous). Raises ``ValueError`` when
     the labels are not ``0 .. n-1`` or the weights are not n valid weights.
+    The labels are checked once per solve, on the whole tree, which records
+    the pass so that ``dp_run`` does not check each component again.
 
     Weights are summed and compared in their own arithmetic. ``int`` and
     ``fractions.Fraction`` weights (the CLI reads decimals as fractions)
@@ -406,21 +415,20 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     """
     w = check_weights(tree.leaves, weights)
     check_labels(flat(tree)[1], len(w))
+    tree._tree.labels_below = len(w)  # and so the labels of every component
     parts = root_components(tree)
     include_isolated = sum(part.leaves == 1 for part in parts) >= 2
 
     outcomes = []
     for part in parts:
-        if part.leaves == 1:
-            (v,) = leaf_labels(part)
-            if include_isolated:
-                outcomes.append(ComponentOutcome((v,), (v,), w[v], "isolated-included"))
-            else:
-                outcomes.append(ComponentOutcome((v,), (), 0, "isolated-excluded"))
-            continue
-        weight, chosen = extract_connected_min(dp_run(part, w))
         members = tuple(sorted(leaf_labels(part)))
-        outcomes.append(ComponentOutcome(members, tuple(sorted(chosen)), weight, "solved"))
+        if len(members) > 1:
+            weight, chosen = extract_connected_min(dp_run(part, w))
+            outcomes.append(ComponentOutcome(members, tuple(sorted(chosen)), weight, "solved"))
+        elif include_isolated:
+            outcomes.append(ComponentOutcome(members, members, w[members[0]], "isolated-included"))
+        else:
+            outcomes.append(ComponentOutcome(members, (), 0, "isolated-excluded"))
 
     total: Weight = sum(o.weight for o in outcomes)
     vertices = tuple(sorted(v for o in outcomes for v in o.chosen))

@@ -6,7 +6,8 @@ to 2-neighbourhood-resolve the graph the cotree realizes; ``ftmd check``
 answers with it on every cograph, after ``cotree.realises`` has checked the
 tree, in O(n + m). ``certify`` runs the same two for the one
 fault-tolerance verdict behind ``Solution.verify`` and
-``ftmd solve --verify``. The other checkers are deliberately direct
+``ftmd solve --verify``, and names the same least failing pair as
+``ftmd check GRAPH ft``. The other checkers are deliberately direct
 implementations of the definitions (BFS distances, neighbourhood symmetric
 differences) on any graph; tests and the brute-force oracle use them as the
 ground truth that the cotree pass is tested against, and ``ftmd check``
@@ -106,14 +107,12 @@ def is_2nr(g: Graph, r: VertexSet) -> bool:
     return first_low_h_pair(g, r) is None
 
 
-def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft", first=False) -> tuple[int, int] | None:
+def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft") -> tuple[int, int] | None:
     """The least pair ``(u, v)``, ``u < v``, at which ``r`` fails ``mode``
     in the graph that ``tree`` realizes, or ``None``; one bottom-up pass,
     linear in the tree. Modes ``"resolving"``, ``"ft"`` and ``"2nr"`` answer
     as ``first_unresolved_pair(g, r, 1)``, ``first_unresolved_pair(g, r, 2)``
-    and ``first_low_h_pair(g, r)`` do. With ``first``, the pass stops at the
-    first union node in post-order that has a failing pair, and returns that
-    node's least one.
+    and ``first_low_h_pair(g, r)`` do.
 
     Each pair has one lowest union node above it, and every vertex outside
     that node's subtree sees both ends alike. With ``u`` on one side and
@@ -166,8 +165,6 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft", first=False) -> tupl
                     for u, v in ((a0, min(b0, b1)), (a1, b0)):
                         if max(u, v) < n and (pair := (min(u, v), max(u, v))) < best:
                             best = pair
-                    if first:
-                        return best
                 # Conditionals, not min(), below: twice as fast in this loop.
                 c0, c1 = (c0, c1) if t == 0 else (n, c0) if t == 1 else (n, n)
                 d0, d1 = (d0, d1) if s == 0 else (n, d0) if s == 1 else (n, n)
@@ -187,12 +184,12 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft", first=False) -> tupl
 def certify(tree: Cotree, g: Graph, r: VertexSet) -> str | None:
     """``None`` when ``tree`` realizes ``g`` and ``r`` is fault-tolerant for
     ``g``, else the reason: ``cotree.realises``' reason why the tree is not
-    ``g``'s, or ``pair u v separated fewer than twice`` with the pair from
-    ``cotree_weak_pair`` in mode ``ft``. Any failing pair refutes the set, so
-    the pass stops at the first (``first=True``); naming the least one is
-    ``ftmd check``'s task. O(n + m); raises ``ValueError`` as those two do.
+    ``g``'s, or ``pair u v separated fewer than twice`` with the least
+    failing pair, ``cotree_weak_pair(tree, r, "ft")``, the pair that
+    ``ftmd check GRAPH ft`` names. O(n + m); raises ``ValueError`` as those
+    two do.
     """
     reason = realises(tree, g)
-    if reason is None and (pair := cotree_weak_pair(tree, r, "ft", True)):
+    if reason is None and (pair := cotree_weak_pair(tree, r, mode="ft")):
         reason = f"pair {pair[0]} {pair[1]} separated fewer than twice"
     return reason

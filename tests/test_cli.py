@@ -856,9 +856,9 @@ def count_calls(monkeypatch, name):
     calls = []
     original = getattr(ftmd.resolving, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(ftmd.resolving, name, counting)
     if hasattr(cli, name):
@@ -975,7 +975,7 @@ def test_solve_verify_rejects_a_set_missing_one_member(capsys, monkeypatch, p3_f
     assert (code, out) == (1, "2\n2\n")
     assert err == (
         "error: solution failed fault-tolerance verification: "
-        "pair 0 2 separated fewer than twice\n"
+        "pair 0 1 separated fewer than twice\n"
     )
 
 

@@ -448,6 +448,27 @@ def test_solve_cotree_solves_each_component():
     assert solve_cotree(tree).weight == solve(disjoint_union(g, g)).weight == 8
 
 
+def test_solve_cotree_checks_the_labels_once(monkeypatch):
+    # Three components with two leaves each and an isolated vertex: the
+    # whole tree's labels are checked once, not again per component.
+    calls = []
+    original = dp_module.check_labels
+
+    def counting(labels, n):
+        calls.append(n)
+        return original(labels, n)
+
+    monkeypatch.setattr(dp_module, "check_labels", counting)
+    tree = build_cotree(from_edges(7, [(0, 1), (2, 3), (4, 5)]))
+    solution = solve_cotree(tree)
+    assert (solution.weight, solution.vertices) == (6, (0, 1, 2, 3, 4, 5))
+    assert len(solution.components) == 4
+    assert calls == [7]
+    # Against fewer weights than the solve had, a component is checked.
+    with pytest.raises(ValueError, match=r"must lie in 0 \.\. 4"):
+        dp_run(root_components(tree)[2], [1] * 5)
+
+
 def test_solve_cotree_rejects_bad_labels_and_weight_counts():
     for text, message in (
         ("(U L0 L0)", "repeat"),

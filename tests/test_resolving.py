@@ -318,7 +318,7 @@ def test_cotree_weak_pair_matches_the_reference_at_2048_vertices(make):
 def test_cotree_weak_pair_is_the_least_failing_pair_in_every_mode():
     # Every set on every tree with up to 5 leaves, and a seeded sample of
     # sets at 6 leaves; leaves relabelled, so that vertex ids do not follow
-    # leaf order.
+    # leaf order. In mode ft, certify names the same pair.
     rng = random.Random(27)
     for tree in enumerate_cotrees(6):
         n = tree.leaves
@@ -328,7 +328,11 @@ def test_cotree_weak_pair_is_the_least_failing_pair_in_every_mode():
         if n == 6:
             sets = rng.sample(sets, 3)
         for r, mode in itertools.product(sets, MODES):
-            assert cotree_weak_pair(tree, r, mode) == definition(g, r, mode), (tree, r, mode)
+            pair = definition(g, r, mode)
+            assert cotree_weak_pair(tree, r, mode) == pair, (tree, r, mode)
+            if mode == "ft":
+                reason = pair and f"pair {pair[0]} {pair[1]} separated fewer than twice"
+                assert certify(tree, g, r) == reason, (tree, r)
 
 
 def test_cotree_weak_pair_rejects_an_unknown_mode():
@@ -341,7 +345,7 @@ def test_certify_is_verify_with_its_reason():
     other = parse_cotree("(C (U L0 (U L1 L2)))")
     cases = [
         (solution, None),
-        (solution._replace(vertices=solution.vertices[1:]), "pair 0 2 separated fewer than twice"),
+        (solution._replace(vertices=solution.vertices[1:]), "pair 0 1 separated fewer than twice"),
         (solution._replace(tree=other), "the graph lacks the cotree's edge 0 2"),
     ]
     for s, reason in cases:
