@@ -7,11 +7,11 @@ the generating cotree itself with ``solve_cotree``, each leaf carrying its
 vertex's weight, and runs the certificate ``cotree_weak_pair`` on the
 solution's cotree for the solution and for the solution minus one random
 member, against ``is_fault_tolerant``. On those two sets and a random one,
-``cotree_weak_pair`` in each mode (``resolving``, ``ft``, ``2nr``) must name
-the pair that the definitional search names (``first_unresolved_pair`` with
-k = 1 or 2, ``first_low_h_pair``). Then it flips one random vertex pair of
-the cograph: the solution's cotree must not realise the result, and when
-``build_cotree`` rejects it, its witness must be an induced P4.
+``cotree_weak_pair`` in each mode of ``resolving.MODES`` must name the pair
+that the definitional search ``resolving.first_failing_pair`` names. Then it
+flips one random vertex pair of the cograph: the solution's cotree must not
+realise the result, and when ``build_cotree`` rejects it, its witness must
+be an induced P4.
 """
 
 import argparse
@@ -31,13 +31,7 @@ from ftmd import (
     solve_cotree,
 )
 from ftmd.cotree import realises
-from ftmd.resolving import first_low_h_pair, first_unresolved_pair
-
-DEFINITIONS = {
-    "resolving": lambda g, r: first_unresolved_pair(g, r, 1),
-    "ft": lambda g, r: first_unresolved_pair(g, r, 2),
-    "2nr": first_low_h_pair,
-}
+from ftmd.resolving import MODES, first_failing_pair
 
 
 def is_induced_p4(g, witness):
@@ -83,8 +77,8 @@ def main(argv=None):
         bad_modes = sorted({
             mode
             for r in sets
-            for mode, search in DEFINITIONS.items()
-            if cotree_weak_pair(solution.tree, r, mode) != search(g, r)
+            for mode in MODES
+            if cotree_weak_pair(solution.tree, r, mode) != first_failing_pair(g, r, mode)
         })
         if bad_weight or bad_tree or bad_cert or bad_check or bad_modes:
             mismatches += 1

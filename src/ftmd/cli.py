@@ -19,8 +19,8 @@ from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
 from . import resolving
-from .cotree import EmptyGraphError, NotCographError, build_cotree, format_cotree
-from .cotree import neighbour_rows, random_cotree
+from .cotree import LABEL_LIMIT, EmptyGraphError, NotCographError, build_cotree
+from .cotree import format_cotree, neighbour_rows, random_cotree
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
@@ -188,11 +188,13 @@ def read_edge_list(path: str) -> Graph:
     lines in bulk once the header is known. Neighbour lists are keyed by
     vertex as met, so that a header with a huge ``n`` costs nothing before
     the edge count is checked, and equal ids share one ``int``
-    (``_VertexIds``). A bad header is reported before a wrong edge count, a
-    wrong edge count before any bad edge line, a duplicate edge before any
-    later bad line, and a decoding error anywhere before all of them. Only a
-    duplicate edge or a decoding error needs a second reading, from the
-    start of the same handle, so a pipe is held in memory (``_open_ascii``).
+    (``_VertexIds``). An ``n`` above ``cotree.LABEL_LIMIT``, more vertices
+    than a cotree can label, makes a bad header. A bad header is reported
+    before a wrong edge count, a wrong edge count before any bad edge line,
+    a duplicate edge before any later bad line, and a decoding error
+    anywhere before all of them. Only a duplicate edge or a decoding error
+    needs a second reading, from the start of the same handle, so a pipe is
+    held in memory (``_open_ascii``).
     """
     n = m = header_no = -1  # until the header is read
     ids = _VertexIds()
@@ -226,6 +228,8 @@ def read_edge_list(path: str) -> Graph:
                 return "header must be two integers"
             if min(counts) < 0:
                 return "n and m must be non-negative"
+            if counts[0] > LABEL_LIMIT:
+                return f"n must be at most {LABEL_LIMIT}, the most vertices a cotree holds"
             n, m = counts
             return None
         if len(fields) != 2:
@@ -410,7 +414,8 @@ def cmd_check(args) -> int:
     (exit 3). On a cograph every mode answers on the cotree in O(n + m):
     ``build_cotree``, ``realises`` to certify the tree, then
     ``cotree_weak_pair``. On any other graph, on the empty graph, and if the
-    tree were not the graph's, the definitional search answers."""
+    tree were not the graph's, ``first_failing_pair``'s definitional search
+    answers."""
     g = read_edge_list(args.graph)
     for v in args.vertices:
         if not 0 <= v < g.n:
@@ -423,10 +428,8 @@ def cmd_check(args) -> int:
         certified = False
     if certified:
         pair = resolving.cotree_weak_pair(tree, args.vertices, args.mode)
-    elif args.mode == "2nr":
-        pair = resolving.first_low_h_pair(g, args.vertices)
     else:
-        pair = resolving.first_unresolved_pair(g, args.vertices, 2 if args.mode == "ft" else 1)
+        pair = resolving.first_failing_pair(g, args.vertices, args.mode)
     if pair is None:
         print("YES")
         return 0
@@ -497,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="test whether a set satisfies a predicate")
     p_check.add_argument("graph")
-    p_check.add_argument("mode", choices=["resolving", "ft", "2nr"])
+    p_check.add_argument("mode", choices=resolving.MODES)
     p_check.add_argument("vertices", nargs="*", type=int, help="the candidate set")
     p_check.set_defaults(func=cmd_check)
 

@@ -26,8 +26,10 @@ makes a ``Graph`` of them, and ``ftmd gen`` writes them without one.
 ``realises`` checks that a tree realizes a given graph by the same walk,
 without building the rows, in O(n + m): it is the first half of the
 certificate behind ``ftmd solve --verify``.
-``check_labels`` checks that k leaf labels from ``flat`` are distinct and
-below a bound in O(k).
+``flat_checked`` is ``flat`` after the one label check of every walk: that
+a subtree's k labels are distinct and below a bound, in O(k). A tree
+records a pass over all its labels, so the walks of a tree and of its
+subtrees against one bound check the labels once.
 
 All traversals here are iterative; union chains (one per connected
 component) and threshold-like graphs produce trees whose depth grows
@@ -48,6 +50,9 @@ from .graph import Graph
 LEAF, UNION, COMPLEMENTED = 0, 1, 2
 # Twin kinds: false twins share N(v), true twins share N[v].
 _FALSE, _TRUE = 0, 1
+# Leaf labels lie below this, the range of ``array('i')``, so a cotree has
+# at most this many leaves.
+LABEL_LIMIT = 2**31
 # Seed of the vertex codes, fixed so that merge order and witnesses repeat.
 _CODE_SEED = 0x5EED
 # Characters of cotree text tokenised at a time by ``parse_cotree``.
@@ -80,8 +85,8 @@ class NotCographError(Exception):
 
 class _Arrays:
     """One tree's two arrays, shared by all views of it, and
-    ``labels_below``: None, or the n that ``dp.solve_cotree`` has checked
-    the labels against, which every subtree's labels then pass too."""
+    ``labels_below``: None, or the n that ``flat_checked`` has checked all
+    the tree's labels against, which every subtree's labels then pass too."""
 
     def __init__(self, kinds: bytearray, labels: array):
         self.kinds, self.labels = kinds, labels
@@ -126,7 +131,7 @@ class Leaf(_Node):
     __slots__ = ()
 
     def __new__(cls, vertex: int) -> Leaf:
-        if not 0 <= vertex < 2**31:
+        if not 0 <= vertex < LABEL_LIMIT:
             raise ValueError(f"leaf label {vertex!r} out of range")
         return _from_arrays(bytearray((LEAF,)), array("i", (vertex,)))
 
@@ -264,20 +269,29 @@ def root_components(t: Cotree) -> list[Cotree]:
     return out
 
 
-def check_labels(labels: array, n: int) -> None:
-    """Raise ``ValueError`` when a subtree's leaf labels, as ``flat`` returns
-    them, repeat or fall outside ``range(n)``, a repeat first. One set over
-    the k labels: O(k).
+def flat_checked(t: Cotree, n: int) -> tuple[bytearray, array]:
+    """``flat(t)``, once its leaf labels are checked: ``ValueError`` when
+    they repeat or fall outside ``range(n)``, a repeat first. A pass builds
+    one set over the k labels, O(k). A pass over all of a tree's labels is
+    recorded on the tree, and a later call on the tree or on any subtree
+    against the same ``n`` makes none, as their labels pass too; a subtree
+    of a tree with no such record is judged by its own labels.
     """
-    if len(set(labels)) < len(labels):
-        raise ValueError("cotree leaf labels repeat")
-    if min(labels) < 0 or max(labels) >= n:
-        raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
+    kinds, labels = flat(t)
+    tree = t._tree
+    if tree.labels_below != n:
+        if len(set(labels)) < len(labels):
+            raise ValueError("cotree leaf labels repeat")
+        if min(labels) < 0 or max(labels) >= n:
+            raise ValueError(f"cotree leaf labels must lie in 0 .. {n - 1}")
+        if len(labels) == len(tree.labels):
+            tree.labels_below = n
+    return kinds, labels
 
 
 def _joins(t: Cotree) -> Iterator[tuple[list[int], list[int]]]:
     """The leaf labels of the two sides of each union node with an odd
-    number of complement nodes on or above it, after ``check_labels``.
+    number of complement nodes on or above it, after ``flat_checked``.
 
     Two leaves are adjacent exactly when an odd number of complement nodes
     lie on or above their lowest common union node, so every leaf of one
@@ -285,8 +299,7 @@ def _joins(t: Cotree) -> Iterator[tuple[list[int], list[int]]]:
     edges of the graph ``t`` realizes, each once. A subtree's leaves are a
     contiguous slice of ``leaf_labels(t)``, so each side is one slice.
     """
-    kinds, labels = flat(t)
-    check_labels(labels, len(labels))
+    kinds, labels = flat_checked(t, t.leaves)
     labels = labels.tolist()
     sizes = _leaf_counts(kinds)
     # (node, index of its first leaf in labels, complement parity above it)
@@ -305,7 +318,7 @@ def _joins(t: Cotree) -> Iterator[tuple[list[int], list[int]]]:
 def neighbour_rows(t: Cotree) -> list[list[int]]:
     """The neighbours of each vertex of the graph that ``t`` realizes, as
     row ``v`` of the result for the leaf labelled ``v``, unsorted. The labels
-    are checked first with ``check_labels``.
+    are checked first with ``flat_checked``.
 
     Each pair of sides from ``_joins`` extends the rows of its two slices in
     bulk; the cost is O(n + m).
@@ -329,7 +342,7 @@ def realises(t: Cotree, g: Graph) -> str | None:
     side among its neighbours, a subset test in C. The joins hold each edge
     of ``t`` once, so ``t``'s edges are then exactly ``g``'s when the join
     sizes sum to ``g``'s edge count. O(n + m) in all, and only one join's
-    sides are held at a time. The labels are checked with ``check_labels``.
+    sides are held at a time. The labels are checked with ``flat_checked``.
     """
     if t.leaves != g.n:
         return f"the cotree has {t.leaves} leaves, the graph {g.n} vertices"

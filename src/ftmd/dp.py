@@ -81,7 +81,7 @@ from __future__ import annotations
 from array import array
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, check_labels, flat
+from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, flat_checked
 from .cotree import iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import certify
@@ -244,18 +244,16 @@ def dp_run(
     complement only relabels its table's shape. When ``trace`` is a list,
     every node's table is appended to it in post-order, with a view of the
     node. Raises ``ValueError`` when leaf labels repeat or fall outside
-    ``range(len(weights))``. Each call checks them, except on a part of a
-    tree whose labels ``solve_cotree`` has checked against as many weights:
-    they pass there, so a solve checks its labels once.
+    ``range(len(weights))``, as ``cotree.flat_checked`` checks them: not
+    again on a tree, or a part of one, whose labels have passed against as
+    many weights, so a solve checks its labels once.
 
     The root table's cheapest entry is the fault-tolerant optimum only for
     a connected tree. On a disconnected tree it is the cheapest set that
     separates every pair twice in the neighbourhood sense, which can cost
     more; ``solve_cotree`` solves such a tree per component.
     """
-    kinds, labels = flat(t)
-    if t._tree.labels_below != len(weights):
-        check_labels(labels, len(weights))
+    kinds, labels = flat_checked(t, len(weights))
     left = array("i", [-1])
     left += labels
     right = array("i", [-1]) * len(left)
@@ -404,8 +402,9 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     is excluded (the other components already separate it twice, and with
     no other vertices the condition is vacuous). Raises ``ValueError`` when
     the labels are not ``0 .. n-1`` or the weights are not n valid weights.
-    The labels are checked once per solve, on the whole tree, which records
-    the pass so that ``dp_run`` does not check each component again.
+    The labels are checked once per solve, on the whole tree, with
+    ``cotree.flat_checked``, which records the pass on the tree: neither
+    ``dp_run`` on each component nor a later ``certify`` checks them again.
 
     Weights are summed and compared in their own arithmetic. ``int`` and
     ``fractions.Fraction`` weights (the CLI reads decimals as fractions)
@@ -414,8 +413,7 @@ def solve_cotree(tree: Cotree, weights: Sequence[Weight] | None = None) -> Solut
     which of two nearly equal sets is cheaper.
     """
     w = check_weights(tree.leaves, weights)
-    check_labels(flat(tree)[1], len(w))
-    tree._tree.labels_below = len(w)  # and so the labels of every component
+    flat_checked(tree, len(w))
     parts = root_components(tree)
     include_isolated = sum(part.leaves == 1 for part in parts) >= 2
 

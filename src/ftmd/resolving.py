@@ -1,17 +1,20 @@
 """Checkers for resolving-set variants.
 
-``cotree_weak_pair`` is one bottom-up pass over a cotree that names the
-least pair at which a set fails to resolve, to resolve fault-tolerantly, or
-to 2-neighbourhood-resolve the graph the cotree realizes; ``ftmd check``
-answers with it on every cograph, after ``cotree.realises`` has checked the
-tree, in O(n + m). ``certify`` runs the same two for the one
-fault-tolerance verdict behind ``Solution.verify`` and
-``ftmd solve --verify``, and names the same least failing pair as
-``ftmd check GRAPH ft``. The other checkers are deliberately direct
-implementations of the definitions (BFS distances, neighbourhood symmetric
-differences) on any graph; tests and the brute-force oracle use them as the
-ground truth that the cotree pass is tested against, and ``ftmd check``
-uses them on graphs that are not cographs.
+``MODES`` names the three checks: ``resolving`` (every pair separated by a
+chosen vertex), ``ft`` (fault-tolerant: by two) and ``2nr`` (every pair
+separated twice in the neighbourhood sense). ``cotree_weak_pair`` is one
+bottom-up pass over a cotree that names the least pair at which a set fails
+a mode in the graph the cotree realizes; ``ftmd check`` answers with it on
+every cograph, after ``cotree.realises`` has checked the tree, in O(n + m).
+``certify`` runs the same two for the one fault-tolerance verdict behind
+``Solution.verify`` and ``ftmd solve --verify``, and names the same least
+failing pair as ``ftmd check GRAPH ft``. The other checkers are
+deliberately direct implementations of the definitions (BFS distances,
+neighbourhood symmetric differences) on any graph, and
+``first_failing_pair`` names a mode's least failing pair with them; tests
+and the brute-force oracle use them as the ground truth that the cotree
+pass is tested against, and ``ftmd check`` uses them on graphs that are not
+cographs.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable
 
-from .cotree import COMPLEMENTED, UNION, Cotree, check_labels, flat, realises, root_components
+from .cotree import COMPLEMENTED, UNION, Cotree, flat, flat_checked, realises, root_components
 from .graph import Graph, bfs_distances
 
 VertexSet = Iterable[int]
+MODES = ("resolving", "ft", "2nr")
 # A node kind of ``cotree_weak_pair``'s walk only: a whole component taken
 # as one vertex.
 _LONE = 4
@@ -56,23 +60,12 @@ def first_unresolved_pair(g: Graph, r: VertexSet, k: int = 1) -> tuple[int, int]
     return None
 
 
-def is_resolving(g: Graph, r: VertexSet) -> bool:
-    """Every vertex pair has a chosen vertex at different distances from the two."""
-    return first_unresolved_pair(g, r, 1) is None
-
-
-def is_k_resolving(g: Graph, r: VertexSet, k: int) -> bool:
-    """Every vertex pair is resolved by at least ``k`` distinct chosen vertices."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return first_unresolved_pair(g, r, k) is None
-
-
 def is_fault_tolerant(g: Graph, r: VertexSet) -> bool:
     """The set resolves, and still resolves after any single deletion.
 
-    Implemented by the deletion definition; ``is_k_resolving(g, r, 2)`` is
-    an equivalent formulation and the test suite checks the two agree.
+    Implemented by the deletion definition; ``first_unresolved_pair(g, r, 2)
+    is None`` is an equivalent formulation and the test suite checks the two
+    agree.
     """
     chosen = frozenset(r)
     rows = _distance_rows(g, chosen)
@@ -107,12 +100,23 @@ def is_2nr(g: Graph, r: VertexSet) -> bool:
     return first_low_h_pair(g, r) is None
 
 
+def first_failing_pair(g: Graph, r: VertexSet, mode: str) -> tuple[int, int] | None:
+    """The least pair at which ``r`` fails ``mode``, by the definition:
+    ``first_unresolved_pair`` with k = 1 for ``resolving`` and k = 2 for
+    ``ft``, the index of the mode in ``MODES`` plus one, or
+    ``first_low_h_pair`` for ``2nr``. ``ValueError`` for a mode not in
+    ``MODES``.
+    """
+    if mode == "2nr":
+        return first_low_h_pair(g, r)
+    return first_unresolved_pair(g, r, MODES.index(mode) + 1)
+
+
 def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft") -> tuple[int, int] | None:
     """The least pair ``(u, v)``, ``u < v``, at which ``r`` fails ``mode``
     in the graph that ``tree`` realizes, or ``None``; one bottom-up pass,
-    linear in the tree. Modes ``"resolving"``, ``"ft"`` and ``"2nr"`` answer
-    as ``first_unresolved_pair(g, r, 1)``, ``first_unresolved_pair(g, r, 2)``
-    and ``first_low_h_pair(g, r)`` do.
+    linear in the tree. Each mode of ``MODES`` answers as
+    ``first_failing_pair(g, r, mode)`` does.
 
     Each pair has one lowest union node above it, and every vertex outside
     that node's subtree sees both ends alike. With ``u`` on one side and
@@ -142,13 +146,13 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft") -> tuple[int, int] |
     way the tree was found. Raises ``ValueError`` for another mode, or when
     a member or a leaf label is outside ``0 .. n-1`` or labels repeat.
     """
-    if mode not in ("resolving", "ft", "2nr"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = tree.leaves
     members = frozenset(r)
     if members and not 0 <= min(members) <= max(members) < n:
         raise ValueError(f"chosen vertex out of range for n={n}")
-    check_labels(flat(tree)[1], n)
+    flat_checked(tree, n)
     unit = 2 if mode == "resolving" else 1
     # Below the first component, an empty graph that fails nothing.
     best, stack = (n, n), [(n, n, n, n, 0)]

@@ -7,9 +7,6 @@ of all O(n^2) vertex pairs, falling back to the BFS definition
 exact on any graph. ``ftmd.resolving.cotree_weak_pair`` replaced it behind
 ``Solution.verify`` and ``ftmd solve --verify``; tests check that the two
 agree on cographs, and that this one stays exact on graphs of any kind.
-
-``definition`` is the definitional search that ``ftmd check`` and
-``cotree_weak_pair`` answer in each mode.
 """
 
 from __future__ import annotations
@@ -17,16 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ftmd.graph import Graph, connected_components
-from ftmd.resolving import VertexSet, first_low_h_pair, first_unresolved_pair
-
-MODES = ("resolving", "ft", "2nr")
-
-
-def definition(g: Graph, r: VertexSet, mode: str) -> tuple[int, int] | None:
-    """The least failing pair in ``mode`` by the definition, or ``None``."""
-    if mode == "2nr":
-        return first_low_h_pair(g, r)
-    return first_unresolved_pair(g, r, 2 if mode == "ft" else 1)
+from ftmd.resolving import VertexSet, first_unresolved_pair
 
 
 def _mask(positions: Iterable[int], width: int) -> int:

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import ftmd
+from ftmd.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -53,3 +54,18 @@ def test_readme_examples_print_their_comments():
         with contextlib.redirect_stdout(out):
             exec(block, {})
         assert out.getvalue().splitlines() == expected
+
+
+def test_readme_shell_transcript_prints_what_it_shows(tmp_path, monkeypatch):
+    # The file that `cat` shows, then what `ftmd solve` prints for it.
+    transcript = re.search(
+        r"```\n\$ cat (\S+)\n(.*?)\$ ftmd solve \1\n(.*?)```", README, re.DOTALL
+    )
+    assert transcript
+    name, text, expected = transcript.groups()
+    (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["solve", name]) == 0
+    assert out.getvalue() == expected

@@ -15,8 +15,8 @@ from ftmd import parse_cotree, realize, from_edges
 from ftmd import cli
 from ftmd.cli import format_weight, main
 from ftmd.graph import connected_components
+from ftmd.resolving import MODES, first_failing_pair
 import reference_cotree
-from reference_resolving import MODES, definition
 from strategies import relabel
 
 
@@ -307,6 +307,11 @@ def test_indented_comment_lines_ignored(capsys, tmp_path):
         ("3 1\n\n# c\nx y\n0 1\n", "1: header announces 1 edges, file has 2"),
         ("# c\n\n2 0\n0 1\n", "3: header announces 0 edges, file has 1"),
         ("3 3\n0 1\n\n0 x\n1 7\n", "4: edge endpoints must be integers"),
+        # No cotree labels more leaves: refused before a row per vertex.
+        (
+            "2147483649 0\n",
+            "1: n must be at most 2147483648, the most vertices a cotree holds",
+        ),
     ],
 )
 def test_edge_list_error_line_numbers(capsys, tmp_path, body, message):
@@ -899,7 +904,7 @@ def test_check_ft_matches_the_pair_search_on_random_cographs(capsys, tmp_path):
         if best:
             sets.append(set(best) - {rng.choice(best)})
         for r, mode in itertools.product(sets, MODES):
-            pair = definition(g, r, mode)
+            pair = first_failing_pair(g, r, mode)
             expected = (0, "YES\n") if pair is None else (3, f"NO: {pair[0]} {pair[1]}\n")
             code, out, _ = run(capsys, ["check", graph, mode, *map(str, r)])
             assert (code, out) == expected

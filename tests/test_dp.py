@@ -39,7 +39,10 @@ from ftmd.dp import dp_run, entry_vertices, extract_connected_min, finite_states
 from ftmd.dp import state_index, state_tuple
 from ftmd.oracle import oracle_min_2nr
 from ftmd.cotree import root_components
+from ftmd.cli import main
+import ftmd.cotree as cotree_module
 import ftmd.dp as dp_module
+from ftmd.resolving import certify
 from ftmd.dp import Table
 from reference_dp import Entry, dp_complement, dp_leaf, dp_union
 import reference_dp
@@ -448,25 +451,50 @@ def test_solve_cotree_solves_each_component():
     assert solve_cotree(tree).weight == solve(disjoint_union(g, g)).weight == 8
 
 
+def count_label_passes(monkeypatch):
+    """A list that gets the length of every label array that ``ftmd.cotree``
+    builds a set over: one entry per pass of its label check."""
+    passes = []
+
+    def counting_set(*args):
+        if args and isinstance(args[0], array):
+            passes.append(len(args[0]))
+        return set(*args)
+
+    monkeypatch.setattr(cotree_module, "set", counting_set, raising=False)
+    return passes
+
+
 def test_solve_cotree_checks_the_labels_once(monkeypatch):
     # Three components with two leaves each and an isolated vertex: the
     # whole tree's labels are checked once, not again per component.
-    calls = []
-    original = dp_module.check_labels
-
-    def counting(labels, n):
-        calls.append(n)
-        return original(labels, n)
-
-    monkeypatch.setattr(dp_module, "check_labels", counting)
+    passes = count_label_passes(monkeypatch)
     tree = build_cotree(from_edges(7, [(0, 1), (2, 3), (4, 5)]))
     solution = solve_cotree(tree)
     assert (solution.weight, solution.vertices) == (6, (0, 1, 2, 3, 4, 5))
     assert len(solution.components) == 4
-    assert calls == [7]
+    assert passes == [7]
     # Against fewer weights than the solve had, a component is checked.
     with pytest.raises(ValueError, match=r"must lie in 0 \.\. 4"):
         dp_run(root_components(tree)[2], [1] * 5)
+    assert passes == [7, 2]
+
+
+def test_certify_and_check_make_one_label_pass_between_them(monkeypatch, capsys, tmp_path):
+    # The solve's pass covers certify's two walks of the same tree, and
+    # ftmd check's walks share the pass that realises makes.
+    g = realize(random_cotree(80, 3))
+    edges = g.edges()
+    path = tmp_path / "g.txt"
+    path.write_text(f"{g.n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    passes = count_label_passes(monkeypatch)
+    solution = solve(g)
+    assert passes == [80]
+    assert certify(solution.tree, g, solution.vertices) is None
+    assert passes == [80]
+    assert main(["check", str(path), "ft", *map(str, solution.vertices)]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert passes == [80, 80]
 
 
 def test_solve_cotree_rejects_bad_labels_and_weight_counts():

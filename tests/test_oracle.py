@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from ftmd import from_edges, is_fault_tolerant, oracle_min_ft
 from ftmd.graph import connected_components, disjoint_union
-from ftmd.resolving import is_2nr, is_resolving
+from ftmd.resolving import first_unresolved_pair, is_2nr
 from ftmd.oracle import oracle_min_2nr, oracle_min_resolving
 from strategies import cographs, component_with_forced_0_vertex, graphs
 
@@ -60,7 +60,7 @@ def test_witness_is_feasible_and_minimal(g):
     for fn, checker in [
         (oracle_min_ft, is_fault_tolerant),
         (oracle_min_2nr, is_2nr),
-        (oracle_min_resolving, is_resolving),
+        (oracle_min_resolving, lambda g, r: first_unresolved_pair(g, r, 1) is None),
     ]:
         res = fn(g)
         assert checker(g, set(res.witness))

@@ -19,9 +19,9 @@ from ftmd import (
     solve_cotree,
 )
 from ftmd.graph import bfs_distances, disjoint_union
-from ftmd.resolving import certify, h, is_2nr, is_k_resolving, is_resolving
+from ftmd.resolving import MODES, certify, first_failing_pair, first_unresolved_pair, h, is_2nr
 import reference_resolving
-from reference_resolving import MODES, definition, weak_pair
+from reference_resolving import weak_pair
 from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs,
@@ -71,28 +71,26 @@ def test_h_is_monotone_in_the_set(gr):
 
 
 def test_is_resolving_examples():
-    assert is_resolving(K2, {0})
-    assert not is_resolving(K3, {0})
-    assert is_resolving(P3, {0})
+    assert first_unresolved_pair(K2, {0}, 1) is None
+    assert first_unresolved_pair(K3, {0}, 1) is not None
+    assert first_unresolved_pair(P3, {0}, 1) is None
 
 
 def test_is_k_resolving_examples():
-    assert is_k_resolving(K2, {0, 1}, 2)
-    assert not is_k_resolving(P3, {0, 1, 2}, 3)
-    with pytest.raises(ValueError):
-        is_k_resolving(K2, {0}, 0)
+    assert first_unresolved_pair(K2, {0, 1}, 2) is None
+    assert first_unresolved_pair(P3, {0, 1, 2}, 3) is not None
 
 
 @given(graphs_with_subset())
 def test_k1_resolving_agrees_with_resolving(gr):
     g, r = gr
-    assert is_k_resolving(g, r, 1) == is_resolving(g, r)
+    assert first_unresolved_pair(g, r, 1) == first_failing_pair(g, r, "resolving")
 
 
 @given(graphs_with_subset())
 def test_full_vertex_set_is_2_resolving(gr):
     g, _ = gr
-    assert is_k_resolving(g, set(range(g.n)), 2)
+    assert first_unresolved_pair(g, set(range(g.n)), 2) is None
 
 
 def test_is_fault_tolerant_examples():
@@ -104,7 +102,7 @@ def test_is_fault_tolerant_examples():
 @given(graphs_with_subset())
 def test_fault_tolerant_equals_two_resolving(gr):
     g, r = gr
-    assert is_fault_tolerant(g, r) == is_k_resolving(g, r, 2)
+    assert is_fault_tolerant(g, r) == (first_unresolved_pair(g, r, 2) is None)
 
 
 def test_is_2nr_examples():
@@ -328,7 +326,7 @@ def test_cotree_weak_pair_is_the_least_failing_pair_in_every_mode():
         if n == 6:
             sets = rng.sample(sets, 3)
         for r, mode in itertools.product(sets, MODES):
-            pair = definition(g, r, mode)
+            pair = first_failing_pair(g, r, mode)
             assert cotree_weak_pair(tree, r, mode) == pair, (tree, r, mode)
             if mode == "ft":
                 reason = pair and f"pair {pair[0]} {pair[1]} separated fewer than twice"
@@ -338,6 +336,16 @@ def test_cotree_weak_pair_is_the_least_failing_pair_in_every_mode():
 def test_cotree_weak_pair_rejects_an_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'k2'"):
         cotree_weak_pair(build_cotree(K2), {0, 1}, "k2")
+
+
+def test_first_failing_pair_is_the_definition_of_each_mode():
+    # On K3, {0} leaves 1 and 2 at one distance and separates 0 and 1 once;
+    # {0, 1} resolves K3, but only 0 separates 0 and 2.
+    assert MODES == ("resolving", "ft", "2nr")
+    assert [first_failing_pair(K3, {0}, mode) for mode in MODES] == [(1, 2), (0, 1), (0, 1)]
+    assert [first_failing_pair(K3, {0, 1}, mode) for mode in MODES] == [None, (0, 2), (0, 2)]
+    with pytest.raises(ValueError):
+        first_failing_pair(K3, {0}, "k2")
 
 
 def test_certify_is_verify_with_its_reason():
