@@ -4,8 +4,8 @@ Subcommands: ``solve`` (minimum-weight fault-tolerant resolving set),
 ``check`` (test a given set), ``gen`` (random cograph instance) and
 ``bench`` (solver scaling table).
 
-Exit codes: 0 success / YES, 1 I/O, parse or usage error, 2 not a cograph,
-3 check answered NO.
+Exit codes: 0 success / YES, 1 I/O, parse or usage error or out of memory,
+2 not a cograph, 3 check answered NO.
 """
 
 from __future__ import annotations
@@ -534,6 +534,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (FileFormatError, OSError, EmptyGraphError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a header n larger than the machine can hold
+        print("error: out of memory", file=sys.stderr)
         return 1
     except NotCographError as err:
         print(f"error: {err}", file=sys.stderr)

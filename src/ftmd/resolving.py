@@ -10,11 +10,14 @@ every cograph, after ``cotree.realises`` has checked the tree, in O(n + m).
 ``Solution.verify`` and ``ftmd solve --verify``, and names the same least
 failing pair as ``ftmd check GRAPH ft``. The other checkers are
 deliberately direct implementations of the definitions (BFS distances,
-neighbourhood symmetric differences) on any graph, and
-``first_failing_pair`` names a mode's least failing pair with them; tests
-and the brute-force oracle use them as the ground truth that the cotree
-pass is tested against, and ``ftmd check`` uses them on graphs that are not
-cographs.
+neighbourhood symmetric differences) on any graph: ``first_unresolved_pair``
+names the least pair separated fewer than k times, ``is_fault_tolerant`` is
+the paper's definition over it with k = 1 (the set resolves, and so does
+the set less any one member), and ``first_failing_pair`` names a mode's
+least failing pair. Every checker but ``h`` raises ``ValueError`` for a
+chosen vertex outside ``0 .. n-1``. Tests and the brute-force oracle use
+these checkers as the ground truth that the cotree pass is tested against,
+and ``ftmd check`` uses them on graphs that are not cographs.
 """
 
 from __future__ import annotations
@@ -36,17 +39,19 @@ def h(g: Graph, r: VertexSet, u: int, v: int) -> int:
     """Number of chosen vertices in ``N(u) symdiff N(v)`` together with u, v."""
     if u == v:
         raise ValueError("h is defined for distinct vertices only")
-    chosen = frozenset(r)
-    return len(((g.adj[u] ^ g.adj[v]) | {u, v}) & chosen)
+    return len(((g.adj[u] ^ g.adj[v]) | {u, v}).intersection(r))
 
 
-def _distance_rows(g: Graph, r: frozenset[int]) -> dict[int, tuple[int | None, ...]]:
-    return {w: bfs_distances(g, w) for w in sorted(r)}
+def _members(r: VertexSet, n: int) -> frozenset[int]:
+    """``r`` as a set; ``ValueError`` when a member is outside ``0 .. n-1``."""
+    if (members := frozenset(r)) and not 0 <= min(members) <= max(members) < n:
+        raise ValueError(f"chosen vertex out of range for n={n}")
+    return members
 
 
 def first_unresolved_pair(g: Graph, r: VertexSet, k: int = 1) -> tuple[int, int] | None:
     """First pair (ascending) distinguished by fewer than ``k`` chosen vertices."""
-    rows = list(_distance_rows(g, frozenset(r)).values())
+    rows = [bfs_distances(g, w) for w in _members(r, g.n)]
     for u in range(g.n):
         for v in range(u + 1, g.n):
             found = 0
@@ -61,32 +66,20 @@ def first_unresolved_pair(g: Graph, r: VertexSet, k: int = 1) -> tuple[int, int]
 
 
 def is_fault_tolerant(g: Graph, r: VertexSet) -> bool:
-    """The set resolves, and still resolves after any single deletion.
+    """The paper's definition: ``r`` resolves ``g``, and so does ``r - {x}``
+    for every member x, each by ``first_unresolved_pair`` with k = 1.
 
-    Implemented by the deletion definition; ``first_unresolved_pair(g, r, 2)
-    is None`` is an equivalent formulation and the test suite checks the two
-    agree.
+    ``first_unresolved_pair(g, r, 2) is None`` is an equivalent formulation
+    and the test suite checks the two agree.
     """
     chosen = frozenset(r)
-    rows = _distance_rows(g, chosen)
-    members = sorted(chosen)
-
-    def resolves(active: list[int]) -> bool:
-        active_rows = [rows[w] for w in active]
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not any(dist[u] != dist[v] for dist in active_rows):
-                    return False
-        return True
-
-    if not resolves(members):
-        return False
-    return all(resolves([w for w in members if w != x]) for x in members)
+    subsets = chain((chosen,), (chosen - {x} for x in chosen))
+    return all(first_unresolved_pair(g, subset, 1) is None for subset in subsets)
 
 
 def first_low_h_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
     """First pair (ascending) with ``h`` below two, or ``None``."""
-    chosen = frozenset(r)
+    chosen = _members(r, g.n)
     for u in range(g.n):
         au = g.adj[u]
         for v in range(u + 1, g.n):
@@ -107,6 +100,8 @@ def first_failing_pair(g: Graph, r: VertexSet, mode: str) -> tuple[int, int] | N
     ``first_low_h_pair`` for ``2nr``. ``ValueError`` for a mode not in
     ``MODES``.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == "2nr":
         return first_low_h_pair(g, r)
     return first_unresolved_pair(g, r, MODES.index(mode) + 1)
@@ -149,9 +144,7 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft") -> tuple[int, int] |
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     n = tree.leaves
-    members = frozenset(r)
-    if members and not 0 <= min(members) <= max(members) < n:
-        raise ValueError(f"chosen vertex out of range for n={n}")
+    members = _members(r, n)
     flat_checked(tree, n)
     unit = 2 if mode == "resolving" else 1
     # Below the first component, an empty graph that fails nothing.

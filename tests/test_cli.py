@@ -675,6 +675,28 @@ def test_edge_list_huge_header_costs_nothing_before_the_count(tmp_path):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["solve", "G"], "ftmd.cli.read_edge_list"),
+        (["solve", "G", "--cotree", "--verify"], "ftmd.cli.read_edge_list"),
+        (["solve", "G", "--oracle"], "ftmd.cli.read_edge_list"),
+        (["check", "G", "ft", "0", "1"], "ftmd.cli.read_edge_list"),
+        (["gen", "5", "0"], "ftmd.cli.random_cotree"),
+        (["bench", "--max-exp", "10"], "ftmd.bench.run_scaling"),
+    ],
+)
+def test_out_of_memory_is_an_error_line(capsys, monkeypatch, argv, target):
+    # A header n that the machine cannot hold ends in MemoryError; raised
+    # here by hand, so that no test takes the memory.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, exhausted)
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def weight_test_lines(rng, n, count):
     """``count`` distinct vertices of ``n``, shuffled, each with an integer
     weight."""

@@ -97,6 +97,10 @@ def test_is_fault_tolerant_examples():
     assert is_fault_tolerant(K2, {0, 1})
     assert is_fault_tolerant(P3, {0, 2})
     assert not is_fault_tolerant(P3, {0, 1})
+    # With 0 or 1 vertex there is no pair to separate, so the empty set
+    # passes; with 2 it fails. {0} resolves K2, but removing 0 leaves none.
+    assert [is_fault_tolerant(from_edges(n, []), set()) for n in (0, 1, 2)] == [True, True, False]
+    assert not is_fault_tolerant(K2, {0})
 
 
 @given(graphs_with_subset())
@@ -344,7 +348,7 @@ def test_first_failing_pair_is_the_definition_of_each_mode():
     assert MODES == ("resolving", "ft", "2nr")
     assert [first_failing_pair(K3, {0}, mode) for mode in MODES] == [(1, 2), (0, 1), (0, 1)]
     assert [first_failing_pair(K3, {0, 1}, mode) for mode in MODES] == [None, (0, 2), (0, 2)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'k2'"):
         first_failing_pair(K3, {0}, "k2")
 
 
@@ -365,6 +369,21 @@ def test_weak_pair_rejects_out_of_range_members():
     for members in ({2}, {-1, 0}):
         with pytest.raises(ValueError, match="chosen vertex out of range for n=2"):
             cotree_weak_pair(build_cotree(K2), members)
+
+
+def test_every_search_rejects_out_of_range_members():
+    # The definitional searches check members as cotree_weak_pair does, in
+    # every mode: 2nr's count h alone would pass over a member beyond n.
+    message = "chosen vertex out of range for n=2"
+    for members in ({0, 1, 5}, {-1, 0}):
+        for mode in MODES:
+            with pytest.raises(ValueError, match=message):
+                first_failing_pair(K2, members, mode)
+            with pytest.raises(ValueError, match=message):
+                cotree_weak_pair(build_cotree(K2), members, mode)
+        for check in (is_2nr, is_fault_tolerant):
+            with pytest.raises(ValueError, match=message):
+                check(K2, members)
 
 
 def test_weak_pair_takes_memory_per_component():
