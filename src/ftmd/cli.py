@@ -369,16 +369,33 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
     return weights
 
 
+def _integer_text(i: int) -> str:
+    """``str(i)`` at any length."""
+    try:
+        return str(i)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        # Imported here because it costs startup time and such sums are rare.
+        from decimal import Decimal
+
+        return str(Decimal(i))
+
+
 def format_weight(w: int | Fraction) -> str:
     """An integral weight as an integer, any other as its exact decimal
-    expansion. The denominator must divide a power of 10, as it does for
-    sums of weights read by ``read_weights``."""
-    if w.denominator == 1:
-        return str(w.numerator)
-    places = 1
-    while 10**places % w.denominator:
-        places += 1
-    digits = str(w.numerator * 10**places // w.denominator).rjust(places + 1, "0")
+    expansion, at any length. The denominator must divide a power of 10, as
+    it does for sums of weights read by ``read_weights``: it is 2**a * 5**b,
+    which takes max(a, b) places."""
+    d = w.denominator
+    if d == 1:
+        return _integer_text(w.numerator)
+    twos = (d & -d).bit_length() - 1
+    # 5**b has floor(b * log2(5)) + 1 bits, so b is within 0.22 of this.
+    fives = round(((d >> twos).bit_length() - 0.5) / math.log2(5))
+    places = max(twos, fives)
+    scaled, rest = divmod(w.numerator * 10**places, d)
+    if rest:
+        raise ValueError(f"{w} has no finite decimal expansion")
+    digits = _integer_text(scaled).rjust(places + 1, "0")
     return f"{digits[:-places]}.{digits[-places:]}"
 
 

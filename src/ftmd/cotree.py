@@ -41,7 +41,6 @@ from __future__ import annotations
 import random
 from array import array
 from functools import cached_property
-from itertools import chain
 from typing import Iterator
 
 from .graph import Graph
@@ -621,74 +620,73 @@ def format_cotree(t: Cotree) -> str:
     return " ".join(parts).replace(" )", ")") % tuple(labels)
 
 
-def _token_slices(text: str, size: int) -> Iterator[list[str]]:
-    """The tokens of ``text``, one list per slice of about ``size``
-    characters. Each slice ends just before a ``)``, which always starts a
-    token, so no token is cut and the lists chain into the tokens of the
-    whole text."""
-    start = 0
-    while start < len(text):
-        end = text.find(")", start + size)
-        if end < 0:
-            end = len(text)
-        yield text[start:end].replace("(", " ( ").replace(")", " ) ").split()
-        start = end
-
-
 def parse_cotree(text: str) -> Cotree:
     """Parse the s-expression grammar; the result is normalized.
 
     One pass over the tokens writes the kinds in post-order: a leaf or a
     closing union appends one, a closing complement flips the flag of the
-    last finished subtree. Each open parenthesis records its operator and
-    how many subtrees were finished before it, so a closing parenthesis
-    knows how many it received. The text is tokenised in slices of about
-    ``_PARSE_SLICE`` characters, so the token list of the whole text never
-    exists: the largest allocation besides the two arrays is one slice's
-    tokens.
+    last finished subtree. ``done`` counts the finished subtrees not yet
+    under a closed operator, and ``stack`` holds one int per open operator:
+    ``done`` as it was at a ``(U`` and its bit inverse ``~done`` at a
+    ``(C``. So a ``)`` pops its operator, by the sign, and how many subtrees
+    it received. The text is tokenised in slices of about ``_PARSE_SLICE``
+    characters, each cut just before a ``)``, so no token is cut and the
+    token list of the whole text never exists: the largest allocation
+    besides the two arrays is one slice's tokens. An opener is one token,
+    ``(U`` or ``(C``, unless space follows the ``(``; then the operator is
+    the next token of the same slice, since the next slice starts with a
+    ``)``, which is no operator either.
     """
     kinds = bytearray()
     labels = array("i")
-    ops: list[str] = []
-    heights: list[int] = []
-    done = 0  # finished subtrees not yet under a closed operator
-    it = chain.from_iterable(_token_slices(text, _PARSE_SLICE))
-    for tok in it:
-        if tok == "(":
-            op = next(it, None)
-            if op != "U" and op != "C":
-                raise ValueError("expected U or C after '('")
-            ops.append(op)
-            heights.append(done)
-            continue
-        if tok == ")":
-            if not ops:
-                raise ValueError("unbalanced ')'")
-            received = done - heights.pop()
-            if ops.pop() == "U":
-                if received != 2:
-                    raise ValueError("U takes exactly two subtrees")
-                kinds.append(UNION)
-                done -= 1
+    stack: list[int] = []
+    done = 0
+    start = 0
+    while start < len(text):
+        end = text.find(")", start + _PARSE_SLICE)
+        if end < 0:
+            end = len(text)
+        tokens = iter(text[start:end].replace("(", " (").replace(")", " ) ").split())
+        start = end
+        for tok in tokens:
+            if tok == ")":
+                if not stack:
+                    raise ValueError("unbalanced ')'")
+                opened = stack.pop()
+                if opened >= 0:
+                    if done - opened != 2:
+                        raise ValueError("U takes exactly two subtrees")
+                    kinds.append(UNION)
+                    done -= 1
+                else:
+                    if done - ~opened != 1:
+                        raise ValueError("C takes exactly one subtree")
+                    kinds[-1] ^= COMPLEMENTED
+            elif tok[0] == "(":
+                if tok == "(":
+                    tok += next(tokens, "")
+                if tok == "(U":
+                    stack.append(done)
+                elif tok == "(C":
+                    stack.append(~done)
+                else:
+                    raise ValueError("expected U or C after '('")
+                continue
+            elif tok == "U" or tok == "C":
+                raise ValueError(f"operator {tok!r} outside parentheses")
             else:
-                if received != 1:
-                    raise ValueError("C takes exactly one subtree")
-                kinds[-1] ^= COMPLEMENTED
-        elif tok == "U" or tok == "C":
-            raise ValueError(f"operator {tok!r} outside parentheses")
-        else:
-            digits = tok[1:]
-            if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
-                raise ValueError(f"bad token {tok!r}")
-            try:
-                labels.append(int(digits))
-            except (OverflowError, ValueError):  # ValueError: int()'s digit limit
-                raise ValueError(f"leaf label {tok!r} out of range") from None
-            kinds.append(LEAF)
-            done += 1
-        if done > 1 and not ops:
-            raise ValueError("multiple top-level cotree terms")
-    if ops:
+                digits = tok[1:]
+                if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
+                    raise ValueError(f"bad token {tok!r}")
+                try:
+                    labels.append(int(digits))
+                except (OverflowError, ValueError):  # ValueError: int()'s digit limit
+                    raise ValueError(f"leaf label {tok!r} out of range") from None
+                kinds.append(LEAF)
+                done += 1
+            if done > 1 and not stack:
+                raise ValueError("multiple top-level cotree terms")
+    if stack:
         raise ValueError("unbalanced '('")
     if not kinds:  # a text with any token has a kind or an error by now
         raise ValueError("empty cotree text")

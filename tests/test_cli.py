@@ -181,6 +181,83 @@ def test_format_weight(weight, text):
     assert format_weight(weight) == text
 
 
+def _looped_format_weight(w):
+    """``format_weight`` as a search for the least number of places."""
+    if w.denominator == 1:
+        return str(w.numerator)
+    places = 1
+    while 10**places % w.denominator:
+        places += 1
+    digits = str(w.numerator * 10**places // w.denominator).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}"
+
+
+def test_format_weight_matches_the_place_search():
+    rng = random.Random(17)
+    for _ in range(2000):
+        twos, fives = rng.randrange(300), rng.randrange(300)
+        w = Fraction(rng.randrange(10 ** rng.randrange(1, 40)), 2**twos * 5**fives)
+        assert format_weight(w) == _looped_format_weight(w)
+    for k in range(1, 400):
+        for d in (2**k, 5**k, 10**k, 2**k * 5 ** (k // 2), 5**k * 2 ** (k // 3)):
+            assert format_weight(Fraction(1, d)) == _looped_format_weight(Fraction(1, d))
+
+
+@pytest.mark.parametrize("denominator", [3, 6, 7, 15, 96, 5**20 * 3])
+def test_format_weight_rejects_a_fraction_with_no_decimal_expansion(denominator):
+    with pytest.raises(ValueError, match="no finite decimal expansion"):
+        format_weight(Fraction(1, denominator))
+
+
+# Weight tokens for vertex 0 of P3, with the output or the error they give.
+WEIGHT_TOKENS = [
+    # Totals longer than int()'s 4300-digit string limit print in full.
+    ("9" * 4300, "1" + "0" * 4300 + "\n0 2\n", ""),
+    ("1e-4400", "1." + "0" * 4399 + "1\n0 2\n", ""),
+    ("1e-30000", "1." + "0" * 29999 + "1\n0 2\n", ""),
+    ("1e400", "", "non-finite weight for vertex 0"),
+    ("nan", "", "non-finite weight for vertex 0"),
+    ("inf", "", "non-finite weight for vertex 0"),
+    (".5", "1.5\n0 2\n", ""),
+    ("5.", "6\n0 2\n", ""),
+    ("1_0", "", "weight line must be 'v w'"),
+]
+
+
+@pytest.mark.parametrize("token,out,err", WEIGHT_TOKENS, ids=[t[:12] for t, _, _ in WEIGHT_TOKENS])
+def test_solve_prints_any_weight_token_or_one_error(tmp_path, p3_file, token, out, err):
+    weights = write(tmp_path, "w.txt", f"0 {token}\n")
+    src = Path(ftmd.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "ftmd.cli", "solve", p3_file, "--weights", weights],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=2,
+    )
+    if err:
+        err = f"error: {weights}:1: {err}\n"
+    assert (result.returncode, result.stdout, result.stderr) == (bool(err), out, err)
+
+
+def test_integer_solve_leaves_decimal_unimported(p3_file):
+    # decimal prints only totals beyond int()'s digit limit; importing it
+    # costs startup time.
+    src = Path(ftmd.__file__).resolve().parent.parent
+    code = (
+        "import sys; from ftmd.cli import main; "
+        f"main(['solve', {p3_file!r}]); print('decimal' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "2\n0 2\nFalse\n"
+
+
 def test_solve_oracle_rejected_beyond_limit(capsys, tmp_path):
     graph = write(tmp_path, "big.txt", "21 0\n")
     code, _, err = run(capsys, ["solve", graph, "--oracle"])

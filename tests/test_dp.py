@@ -32,7 +32,7 @@ from ftmd import (
     solve_cotree,
     union_node,
 )
-from ftmd.cotree import LEAF, UNION, _from_arrays, flat, leaf_count
+from ftmd.cotree import LEAF, UNION, _from_arrays, flat, leaf_count, leaf_labels
 from ftmd.graph import disjoint_union
 from ftmd.resolving import is_2nr
 from ftmd.dp import dp_run, entry_vertices, extract_connected_min, finite_states
@@ -538,12 +538,21 @@ def test_verify_is_false_when_the_tree_realises_another_graph():
     assert not solution._replace(tree=parse_cotree("(U L0 L1)")).verify(k2)
 
 
-def _reference_solve(g, weights=None):
-    """``solve`` with the reference DP in place of the flat one."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dp_module, "dp_run", reference_dp.dp_run)
-        mp.setattr(dp_module, "extract_connected_min", reference_dp.extract_connected_min)
-        return solve(g, weights)
+def _reference_solve(g, weights):
+    """The weight and set ``solve`` returns, from ``reference_dp`` on each
+    component of the graph's cotree and ``solve_cotree``'s rule for isolated
+    vertices: all of them when there are at least two, else none."""
+    parts = root_components(build_cotree(g))
+    isolated = [leaf_labels(part)[0] for part in parts if part.leaves == 1]
+    chosen = isolated if len(isolated) >= 2 else []
+    total = sum(weights[v] for v in chosen)
+    for part in parts:
+        if part.leaves > 1:
+            table = reference_dp.dp_run(part, weights)
+            weight, vertices = reference_dp.extract_connected_min(table)
+            total += weight
+            chosen += vertices
+    return total, tuple(sorted(chosen))
 
 
 def test_tables_match_reference_on_all_small_cotrees():
@@ -601,7 +610,8 @@ def test_solve_picks_the_reference_set_on_ties():
         n = rng.randint(1, 40)
         g = realize(random_cotree(n, rng.randrange(2**31)))
         weights = [1] * n if i % 2 else [rng.randint(0, 3) for _ in range(n)]
-        assert solve(g, weights) == _reference_solve(g, weights)
+        solution = solve(g, weights)
+        assert (solution.weight, solution.vertices) == _reference_solve(g, weights)
 
 
 def test_left_scan_order_picks_the_returned_optimum():
