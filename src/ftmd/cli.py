@@ -322,7 +322,8 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
     Integer weights stay ``int``; any other decimal is read exactly as a
     ``Fraction``, so sums and comparisons in the solver carry no rounding.
     The lines are read by ``_Lines``: slices of plain ``v w`` lines in bulk,
-    any other line by the line-by-line checks. The first bad line is
+    a piece whose ids ascend with no gaps by one slice assignment, any
+    other line by the line-by-line checks. The first bad line is
     reported, with the first of its format, range, repeat, non-finite and
     negative errors; a decoding error anywhere comes before it. A pipe is
     held in memory, as for ``read_edge_list``.
@@ -336,6 +337,14 @@ def read_weights(path: str, n: int) -> list[int | Fraction]:
             ws = list(map(int, tokens[1::2]))
         except ValueError:  # more digits than int() converts
             return False
+        first, end = vs[0], vs[-1] + 1
+        if end - first == len(vs) and vs == list(range(first, end)):
+            # The ids first .. end - 1 in order: one slice, no repeat in it.
+            if end > n or listed.find(1, first, end) >= 0:
+                return False
+            weights[first:end] = ws
+            listed[first:end] = b"\1" * len(vs)
+            return True
         if max(vs) >= n or len(set(vs)) < len(vs) or any(map(listed.__getitem__, vs)):
             return False
         for v, w in zip(vs, ws):

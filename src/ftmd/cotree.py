@@ -10,7 +10,11 @@ or ``UNION`` plus the ``COMPLEMENTED`` flag when a complement node sits
 directly above it; and ``labels``, an ``array('i')`` of the leaf vertex ids
 left to right. A subtree with k leaves is the 2k - 1 bytes ending at its
 root. The functions here and ``dp.dp_run`` work on the arrays and create no
-object per node. ``Leaf``, ``Union`` and ``Complement`` are views of one
+object per node. ``parse_cotree`` checks each slice of its text with bytes
+operations, converts its labels with one ``map(int, ...)`` and makes one
+loop step per token, or one per folded ``(U L L)``, ``(C (U L L))`` or
+``(C L)``; text that fails a check is parsed token by token, which gives
+every error message. ``Leaf``, ``Union`` and ``Complement`` are views of one
 subtree, typed by its root; equality, hashing and pickling use the
 subtree's arrays, and ``repr`` is the ``parse_cotree`` call that rebuilds
 it. New trees come from ``Leaf(v)``, ``union_node`` and
@@ -56,6 +60,34 @@ LABEL_LIMIT = 2**31
 _CODE_SEED = 0x5EED
 # Characters of cotree text tokenised at a time by ``parse_cotree``.
 _PARSE_SLICE = 1 << 16
+# ``_parse_bulk``'s byte classes: ``C`` reads as ``U``, a digit as ``0``,
+# the ASCII spaces that ``bytes.split`` splits on as a space, and any other
+# byte that no token has as ``!``; ``(``, ``)``, ``U`` and ``L`` stay.
+_DIGITS, _SPACES = b"0123456789", b" \t\n\r\x0b\x0c"
+_CLASSES = bytes(
+    c if c in b"()UL"
+    else ord("U") if c == ord("C")
+    else ord("0") if c in _DIGITS
+    else ord(" ") if c in _SPACES
+    else ord("!")
+    for c in range(256)
+)
+# An ``L`` glued after an operator's letter or after a digit. The other
+# glued pairs fail ``_parse_bulk``'s counts: a ``U`` or ``C`` not after a
+# ``(``, or a digit run not after an ``L``.
+_GLUED = (b"UL", b"0L")
+_DIGIT_RUNS = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
+# Token spellings, digits and spaces deleted, folded to one byte each; a
+# byte that stands for a whole subtree appends its kinds.
+_FOLDS = ((b"(C(ULL))", b"X"), (b"(ULL)", b"Y"), (b"(CL)", b"Z"), (b"(U", b"u"), (b"(C", b"c"))
+_CLOSE, _OPEN_U, _OPEN_C = b")uc"
+_FOLDED = {
+    b"L": (LEAF,),
+    b"Y": (LEAF, LEAF, UNION),
+    b"X": (LEAF, LEAF, UNION | COMPLEMENTED),
+    b"Z": (LEAF | COMPLEMENTED,),
+}
+_FOLDED_KINDS = [bytes(_FOLDED.get(bytes((c,)), ())) for c in range(128)]
 # ``format_cotree``'s pieces by node kind: a leaf or a union's closing, and
 # a union's opening.
 _PIECES = ("L%d", ")", "(C L%d)", "))")
@@ -629,25 +661,119 @@ def parse_cotree(text: str) -> Cotree:
     under a closed operator, and ``stack`` holds one int per open operator:
     ``done`` as it was at a ``(U`` and its bit inverse ``~done`` at a
     ``(C``. So a ``)`` pops its operator, by the sign, and how many subtrees
-    it received. The text is tokenised in slices of about ``_PARSE_SLICE``
+    it received. The text is read in slices of about ``_PARSE_SLICE``
     characters, each cut just before a ``)``, so no token is cut and the
-    token list of the whole text never exists: the largest allocation
-    besides the two arrays is one slice's tokens. An opener is one token,
-    ``(U`` or ``(C``, unless space follows the ``(``; then the operator is
-    the next token of the same slice, since the next slice starts with a
-    ``)``, which is no operator either.
+    token list of the whole text never exists.
+
+    ``_parse_bulk`` makes that pass over one byte per token, checking each
+    slice with bytes operations first; ``_parse_tokens`` makes it over the
+    tokens and is the one source of error messages. Input that the bulk
+    path refuses, an error or only a spelling it does not take, such as
+    ``( U`` or a non-ASCII space, is parsed again by ``_parse_tokens``. The
+    bulk path refuses everything that the token loop rejects, so both give
+    the same tree or the same message.
     """
-    kinds = bytearray()
-    labels = array("i")
-    stack: list[int] = []
-    done = 0
+    arrays = _parse_bulk(text)
+    return _from_arrays(*arrays) if arrays else _parse_tokens(text)
+
+
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in slices of about ``_PARSE_SLICE`` characters, each but
+    the first starting with a ``)``."""
     start = 0
     while start < len(text):
         end = text.find(")", start + _PARSE_SLICE)
         if end < 0:
             end = len(text)
-        tokens = iter(text[start:end].replace("(", " (").replace(")", " ) ").split())
+        yield text[start:end]
         start = end
+
+
+def _parse_bulk(text: str) -> tuple[bytearray, array] | None:
+    """``parse_cotree``'s arrays, or ``None`` when a slice fails a check or
+    the tree is malformed.
+
+    A slice passes when it is ASCII and, in ``_CLASSES``, has no byte
+    outside the grammar, a ``U`` or ``C`` after every ``(`` and a ``(``
+    before each, a digit after every ``L``, no ``L`` right after an
+    operator or a digit, and as many digit runs as ``L``s, so that every
+    run follows an ``L``. Its tokens are then ``(U``, ``(C``, ``)`` and
+    ``L`` with digits, as ``_parse_tokens`` would split them; the labels
+    are its digit runs, converted by one ``map(int, ...)``, and with the
+    digits and spaces deleted each token but ``(U`` and ``(C`` is one byte.
+    ``_FOLDS`` folds those two into one byte each and, first,
+    ``(C (U L L))``, ``(U L L)`` and ``(C L)`` into one byte that appends
+    their kinds. A pattern that a slice boundary cuts is not folded, and
+    its tokens take one step each.
+    """
+    kinds = bytearray()
+    labels = array("i")
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    done = 0
+    for piece in _slices(text):
+        if not piece.isascii():
+            return None
+        raw = piece.encode("ascii")
+        classes = raw.translate(_CLASSES)
+        openers = classes.count(b"(")
+        leaves = classes.count(b"L")
+        if (
+            b"!" in classes
+            or classes.count(b"(U") != openers
+            or classes.count(b"U") != openers
+            or classes.count(b"L0") != leaves
+            or any(pair in classes for pair in _GLUED)
+        ):
+            return None
+        runs = raw.translate(_DIGIT_RUNS).split()
+        if len(runs) != leaves:
+            return None
+        try:
+            labels.extend(map(int, runs))
+        except (OverflowError, ValueError):
+            return None
+        ops = raw.translate(None, _DIGITS + _SPACES)
+        for pattern, op in _FOLDS:
+            ops = ops.replace(pattern, op)
+        for op in ops:
+            if op == _CLOSE:
+                if not stack:
+                    return None
+                opened = pop()
+                if opened >= 0:
+                    if done - opened != 2:
+                        return None
+                    kinds.append(UNION)
+                    done -= 1
+                elif done + opened:  # done - ~opened != 1
+                    return None
+                else:
+                    kinds[-1] ^= COMPLEMENTED
+            elif op == _OPEN_U:
+                push(done)
+            elif op == _OPEN_C:
+                push(~done)
+            else:
+                kinds += _FOLDED_KINDS[op]
+                done += 1
+    # Each closed top-level term stays one finished subtree.
+    if stack or done != 1:
+        return None
+    return kinds, labels
+
+
+def _parse_tokens(text: str) -> Cotree:
+    """``parse_cotree`` token by token, with its error messages. An opener
+    is one token, ``(U`` or ``(C``, unless space follows the ``(``; then
+    the operator is the next token of the same slice, since the next slice
+    starts with a ``)``, which is no operator either."""
+    kinds = bytearray()
+    labels = array("i")
+    stack: list[int] = []
+    done = 0
+    for piece in _slices(text):
+        tokens = iter(piece.replace("(", " (").replace(")", " ) ").split())
         for tok in tokens:
             if tok == ")":
                 if not stack:

@@ -64,8 +64,14 @@ union state its candidate pairs in tie order) is worked out on first use
 into its cell of a fixed grid indexed by the two shape ids. Cells fill
 without a lock: filling one twice stores the same plan. So a union node
 costs two list lookups and a loop over its candidates; a state with one
-candidate skips the comparison. The solution is read off the cheapest root
-entry by following back-pointers.
+candidate skips the comparison, and a plan with one state and one candidate
+skips the loop. An untraced run first rewrites the kinds with
+``bytes.replace`` so that a union of two leaves, whose table has one entry
+with both leaves chosen, and a union with a leaf as its right child each
+take one step of the loop. The solution is read off the cheapest root
+entry: one sweep down the entry ids marks the entries under it, as every
+union entry's two entries have smaller ids, and the marked leaves are the
+chosen vertices.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -79,9 +85,11 @@ does. ``solve`` builds the cotree of a graph and hands it to
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, UNION, Cotree, build_cotree, flat_checked
+from .cotree import COMPLEMENTED, LEAF, UNION, Cotree, build_cotree, flat_checked
 from .cotree import iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import certify
@@ -192,8 +200,9 @@ _union_plans: list[list] = [[None] * len(_shape_states) for _ in _shape_states]
 
 
 def _union_plan(shape1: int, shape2: int) -> tuple:
-    """The union of two shapes: its shape and, for each of its finite states
-    in ascending order, the candidate pairs that give it.
+    """The union of two shapes: its shape, for each of its finite states in
+    ascending order the candidate pairs that give it, and the positions of
+    the one pair when there is one state with one candidate, else None.
 
     A live table is one list ``[shape, id, weight, id, weight, ...]`` in
     the order of its shape's states. A group of candidates is
@@ -217,8 +226,38 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
                 candidates.setdefault(k, []).append(pair)
     states = tuple(sorted(candidates))
     groups = tuple((*candidates[k][0], tuple(candidates[k][1:])) for k in states)
-    plan = _union_plans[shape1][shape2] = (_shape_ids[states], groups)
+    single = groups[0][:2] if len(groups) == 1 and not groups[0][2] else None
+    plan = _union_plans[shape1][shape2] = (_shape_ids[states], groups, single)
     return plan
+
+
+# ``dp_run``'s codes for a union whose children are both leaves, and for a
+# union whose right child is a leaf, beside LEAF and UNION; COMPLEMENTED
+# stays the union's flag. ``_fold_leaves`` drops a leaf's flag first: a
+# single leaf's table reads the same complemented.
+_LEAF_PAIR, _LEAF_RIGHT = 4, 8
+_ANY_UNION = UNION | _LEAF_RIGHT
+# A union of two leaves has one finite state, with both leaves chosen: its
+# shape, and its complement's, by code.
+_PAIR_SHAPES = [0] * 8
+_PAIR_SHAPES[_LEAF_PAIR] = _shape_ids[(_union_state(_CHOSEN, 1, _CHOSEN, 1),)]
+_PAIR_SHAPES[_LEAF_PAIR | COMPLEMENTED] = _complement_shapes[_PAIR_SHAPES[_LEAF_PAIR]]
+_UNFLAGGED_LEAVES = bytes([LEAF, UNION, LEAF, UNION | COMPLEMENTED]) + bytes(range(4, 256))
+_FOLDS = tuple(
+    (bytes(children + (UNION | flag,)), bytes((code | flag,)))
+    for children, code in (((LEAF, LEAF), _LEAF_PAIR), ((LEAF,), _LEAF_RIGHT))
+    for flag in (0, COMPLEMENTED)
+)
+
+
+def _fold_leaves(kinds: bytearray) -> bytearray:
+    """``kinds`` with each union of two leaves and then each union with a
+    leaf on its right as one code: in post-order a union's right child ends
+    just before it, and a leaf right child's sibling just before that."""
+    kinds = kinds.translate(_UNFLAGGED_LEAVES)
+    for pattern, code in _FOLDS:
+        kinds = kinds.replace(pattern, code)
+    return kinds
 
 
 def _size_class(i: int, leaf: bool) -> int:
@@ -248,6 +287,13 @@ def dp_run(
     again on a tree, or a part of one, whose labels have passed against as
     many weights, so a solve checks its labels once.
 
+    Without a trace the kinds are first rewritten by ``_fold_leaves`` so
+    that a union of two leaves is one step, which adds its one entry
+    straight away, and a union whose right child is a leaf is one step too,
+    which makes the leaf's table itself. A union whose plan has one state
+    with one candidate adds that entry without the candidate loop. Both
+    paths create the same entries in the same order.
+
     The root table's cheapest entry is the fault-tolerant optimum only for
     a connected tree. On a disconnected tree it is the cheapest set that
     separates every pair twice in the neighbourhood sense, which can cost
@@ -260,31 +306,53 @@ def dp_run(
     add_left, add_right = left.append, right.append
     union_plans, complement_shapes = _union_plans, _complement_shapes
     leaf_weights = map(weights.__getitem__, labels)
-    nodes = None if trace is None else iter_nodes(t)
+    if trace is None:
+        nodes = None
+        kinds = _fold_leaves(kinds)
+    else:
+        nodes = iter_nodes(t)
     stack: list[list] = []
     push, pop = stack.append, stack.pop
     leaf = _EMPTY  # the last leaf entry
     entry = len(left)  # the next union entry
     for kind in kinds:
-        if kind & UNION:
-            t2 = pop()
+        if kind & _LEAF_PAIR:
+            add_left(leaf + 1)
+            leaf += 2
+            add_right(leaf)
+            push([_PAIR_SHAPES[kind], entry, next(leaf_weights) + next(leaf_weights)])
+            entry += 1
+            continue
+        if kind & _ANY_UNION:
+            if kind & UNION:
+                t2 = pop()
+            else:
+                leaf += 1
+                t2 = [_LEAF_SHAPE, leaf, next(leaf_weights), _EMPTY, 0]
             t1 = pop()
-            plan = union_plans[t1[0]][t2[0]] or _union_plan(t1[0], t2[0])
-            live = [plan[0]]
-            for x, y, rest in plan[1]:
-                best = t1[x + 1] + t2[y + 1]
-                e1 = t1[x]
-                e2 = t2[y]
-                for x, y in rest:
-                    w = t1[x + 1] + t2[y + 1]
-                    if w < best:
-                        best = w
-                        e1 = t1[x]
-                        e2 = t2[y]
-                add_left(e1)
-                add_right(e2)
-                live += (entry, best)
+            shape, groups, single = union_plans[t1[0]][t2[0]] or _union_plan(t1[0], t2[0])
+            if single:
+                x, y = single
+                add_left(t1[x])
+                add_right(t2[y])
+                live = [shape, entry, t1[x + 1] + t2[y + 1]]
                 entry += 1
+            else:
+                live = [shape]
+                for x, y, rest in groups:
+                    best = t1[x + 1] + t2[y + 1]
+                    e1 = t1[x]
+                    e2 = t2[y]
+                    for x, y in rest:
+                        w = t1[x + 1] + t2[y + 1]
+                        if w < best:
+                            best = w
+                            e1 = t1[x]
+                            e2 = t2[y]
+                    add_left(e1)
+                    add_right(e2)
+                    live += (entry, best)
+                    entry += 1
         else:
             leaf += 1
             live = [_LEAF_SHAPE, leaf, next(leaf_weights), _EMPTY, 0]
@@ -300,17 +368,23 @@ def dp_run(
 
 def entry_vertices(entry: TableEntry) -> frozenset[int]:
     """Materialize the vertex set behind an entry by following its
-    back-pointers; linear in the output."""
+    back-pointers.
+
+    Entries 1 .. k are the run's leaves and every union entry's two entries
+    have smaller ids, so one sweep from the entry down to k + 1 marks every
+    entry under it, and the chosen vertices are the labels of the marked
+    leaves. The sweep is linear in the entries the run made up to this one.
+    """
     left, right = entry.left, entry.right
-    out: list[int] = []
-    stack = [entry.id]
-    while stack:
-        e = stack.pop()
-        if right[e] >= 0:  # a union entry
-            stack += left[e], right[e]
-        elif e != _EMPTY:  # a chosen leaf
-            out.append(left[e])
-    return frozenset(out)
+    # The empty set and the leaves hold -1 in ``right``, each union entry
+    # an id: that test is false from k + 1 on, which is all bisect needs.
+    leaves = bisect_left(right, 0) - 1
+    marks = bytearray(len(left))
+    marks[entry.id] = 1
+    for e in range(entry.id, leaves, -1):
+        if marks[e]:
+            marks[left[e]] = marks[right[e]] = 1
+    return frozenset(compress(memoryview(left)[1 : leaves + 1], memoryview(marks)[1 : leaves + 1]))
 
 
 def finite_states(table: Table) -> dict[tuple[int, int, int, int], TableEntry]:

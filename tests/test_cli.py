@@ -827,6 +827,31 @@ def test_weight_file_comment_keeps_its_slice_in_bulk(tmp_path, monkeypatch):
     assert len(calls) < 200
 
 
+def test_weight_file_runs_of_ids_are_stored_by_slice(tmp_path, monkeypatch):
+    # A piece whose ids ascend with no gaps is stored by slice assignment;
+    # any other piece by the per-vertex loop. Neither reads line by line.
+    rng = random.Random(32)
+    n = 20_000
+    ws = [rng.randrange(10**6) for _ in range(n)]
+    order = list(range(3_000, n)) + rng.sample(range(3_000), 3_000)
+    calls = count_line_by_line(monkeypatch)
+    path = write(tmp_path, "w.txt", "".join(f"{v} {ws[v]}\n" for v in order))
+    assert cli.read_weights(path, n) == ws
+    assert not calls
+    # Vertex 15000 listed on line 1, many slices before the run that lists
+    # it again on line 15002; and a run that goes past n.
+    lines = [f"{v} {ws[v]}" for v in range(n)]
+    for body, message in [
+        (["15000 7"] + lines, "15002: vertex 15000 listed twice"),
+        (lines + ["20000 7", "20001 7"], "20001: vertex 20000 out of range for n=20000"),
+    ]:
+        path = write(tmp_path, "w.txt", "\n".join(body) + "\n")
+        assert len("\n".join(body[:15_000])) > 8 * cli._SLICE
+        with pytest.raises(cli.FileFormatError) as exc:
+            cli.read_weights(path, n)
+        assert str(exc.value) == f"{path}:{message}"
+
+
 @pytest.mark.parametrize(
     "bad,message",
     [

@@ -567,6 +567,58 @@ def test_sliced_parse_raises_the_unsliced_messages(monkeypatch):
         assert outcomes == unsliced
 
 
+# Hostile tokens to plant in a formatted tree, each as the pattern of what
+# it replaces and its replacement: separators that str.split() takes and
+# bytes.split() does not, glued tokens, and tokens that the bulk checks
+# must refuse or read as the token loop does.
+PLANTED = {
+    **{ascii(sep): (" ", sep) for sep in "\x1c\x1d\x1e\x1f\x85\xa0"},
+    "L-arabic-digit": (r"L\d+", "L\u0663"),
+    "L1L2": (r"(L\d+) (L\d+)", r"\1\2"),
+    "L 1": (r"L(\d+)", r"L \1"),
+    "L1 2": (r"L\d+ ", r"\g<0>7 "),
+    "(UL0": (r"\(U L", "(UL"),
+    "(L0": (r"\(U ", "("),
+    "x": (r"L\d+", "x"),
+    "L": (r"L\d+", "L"),
+    "U": (r"L\d+", "U"),
+    "C": (r"L\d+", "C"),
+    "1L": (r"L\d+", "1L"),
+    "L+1": (r"L\d+", "L+1"),
+    "L007": (r"L\d+", "L007"),
+    "L2**31": (r"L\d+", f"L{2**31}"),
+}
+
+
+def _token_outcome(text):
+    """The tree or the message of the token loop alone."""
+    try:
+        return cotree_module._parse_tokens(text)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", list(PLANTED))
+def test_parse_matches_the_token_loop_with_a_planted_token(monkeypatch, name):
+    monkeypatch.setattr(cotree_module, "_PARSE_SLICE", 1 << 10)
+    pattern, planted = PLANTED[name]
+    rng = random.Random(name)
+    trees = 0
+    for _ in range(4):
+        tree = random_cotree(rng.randint(400, 500), rng.randrange(2**31))
+        text = format_cotree(tree)
+        assert len(text) > 4 * cotree_module._PARSE_SLICE
+        assert cotree_module._parse_bulk(text) == flat(tree)
+        matches = list(re.finditer(pattern, text))
+        for where in (0.01, 0.5, 0.99):
+            m = matches[int(where * len(matches))]
+            sown = text[: m.start()] + m.expand(planted) + text[m.end() :]
+            outcome = _parse_outcome(sown)
+            assert outcome == _token_outcome(sown)
+            trees += not isinstance(outcome, str)
+    assert trees == (12 if pattern == " " or name == "L007" else 0)
+
+
 def test_parse_peak_memory_stays_below_twice_the_text():
     text = format_cotree(random_cotree(2**16, 5))
     tracemalloc.start()

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from ftmd import (
     solve_cotree,
     union_node,
 )
-from ftmd.cotree import LEAF, UNION, _from_arrays, flat, leaf_count, leaf_labels
+from ftmd.cotree import COMPLEMENTED, LEAF, UNION, _from_arrays, flat, leaf_count, leaf_labels
 from ftmd.graph import disjoint_union
 from ftmd.resolving import is_2nr
 from ftmd.dp import dp_run, entry_vertices, extract_connected_min, finite_states
@@ -48,6 +49,7 @@ from reference_dp import Entry, dp_complement, dp_leaf, dp_union
 import reference_dp
 from signatures import state_signature
 from strategies import component_with_forced_0_vertex, enumerate_cotrees, relabel
+from strategies import threshold_chain
 
 
 def table_of(states):
@@ -602,6 +604,33 @@ def test_tables_match_reference_on_mirrored_unions():
         dp_run(union_node(tree, copy), [1] * (2 * n), mirrored)
         reference_dp.dp_run(union_node(tree, copy), [1] * (2 * n), ref)
         assert [sets_of(t) for _, t in mirrored] == [sets_of(t) for _, t in ref]
+
+
+def test_untraced_run_matches_the_reference_and_the_traced_run():
+    # Untraced, dp_run folds each union of two leaves, and then each union
+    # with a leaf on its right, into one step; traced, it folds nothing.
+    rng = random.Random(32)
+    trees = [threshold_chain(n) for n in (2, 3, 64, 257)]
+    for _ in range(200):
+        n = rng.randint(2, 60)
+        tree = relabel(random_cotree(n, rng.randrange(2**31)), rng.sample(range(n), n))
+        text = re.sub(
+            r"L\d+", lambda m: f"(C {m[0]})" if rng.random() < 0.3 else m[0], format_cotree(tree)
+        )
+        trees.append(parse_cotree(text))
+    codes = Counter()
+    for tree in trees:
+        weights = [rng.randint(0, 5) for _ in range(leaf_count(tree))]
+        root = dp_run(tree, weights)
+        traced = dp_run(tree, weights, [])
+        assert (root.states, root.ids, root.weights) == (traced.states, traced.ids, traced.weights)
+        assert (root.left, root.right) == (traced.left, traced.right)
+        assert sets_of(root) == sets_of(reference_dp.dp_run(tree, weights))
+        codes.update(flat(tree)[0])
+        codes.update(dp_module._fold_leaves(flat(tree)[0]))
+    assert codes[LEAF | COMPLEMENTED] > 0
+    pair, right = dp_module._LEAF_PAIR, dp_module._LEAF_RIGHT
+    assert all(codes[code] > 0 for code in (pair, pair | COMPLEMENTED, right, right | COMPLEMENTED))
 
 
 def test_solve_picks_the_reference_set_on_ties():
