@@ -501,6 +501,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _vertex_count(text: str) -> int:
+    value = _positive_int(text)
+    if value > LABEL_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {LABEL_LIMIT}, the most vertices a cotree holds"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ftmd",
@@ -531,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="emit a random cograph instance")
-    p_gen.add_argument("n", type=_positive_int, help="number of vertices")
+    p_gen.add_argument(
+        "n", type=_vertex_count, help=f"number of vertices, 1 .. {LABEL_LIMIT}"
+    )
     p_gen.add_argument("seed", type=int)
     p_gen.set_defaults(func=cmd_gen)
 

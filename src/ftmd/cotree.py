@@ -14,7 +14,11 @@ object per node. ``parse_cotree`` checks each slice of its text with bytes
 operations, converts its labels with one ``map(int, ...)`` and makes one
 loop step per token, or one per folded ``(U L L)``, ``(C (U L L))`` or
 ``(C L)``; text that fails a check is parsed token by token, which gives
-every error message. ``Leaf``, ``Union`` and ``Complement`` are views of one
+every error message. ``fold_leaves`` is the one encoding of a union of two
+leaves, or with a leaf on its right, as a single kind byte: ``format_cotree``
+reads its kinds folded, writing such a union in one step, and so does
+``dp.dp_run``. ``random_cotree`` refuses more leaves than ``LABEL_LIMIT``
+before it draws. ``Leaf``, ``Union`` and ``Complement`` are views of one
 subtree, typed by its root; equality, hashing and pickling use the
 subtree's arrays, and ``repr`` is the ``parse_cotree`` call that rebuilds
 it. New trees come from ``Leaf(v)``, ``union_node`` and
@@ -81,17 +85,40 @@ _DIGIT_RUNS = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
 # byte that stands for a whole subtree appends its kinds.
 _FOLDS = ((b"(C(ULL))", b"X"), (b"(ULL)", b"Y"), (b"(CL)", b"Z"), (b"(U", b"u"), (b"(C", b"c"))
 _CLOSE, _OPEN_U, _OPEN_C = b")uc"
+# The kinds of a union of two leaves, plain and complemented.
+_PAIR, _JOINED_PAIR = bytes((LEAF, LEAF, UNION)), bytes((LEAF, LEAF, UNION | COMPLEMENTED))
 _FOLDED = {
     b"L": (LEAF,),
-    b"Y": (LEAF, LEAF, UNION),
-    b"X": (LEAF, LEAF, UNION | COMPLEMENTED),
+    b"Y": _PAIR,
+    b"X": _JOINED_PAIR,
     b"Z": (LEAF | COMPLEMENTED,),
 }
 _FOLDED_KINDS = [bytes(_FOLDED.get(bytes((c,)), ())) for c in range(128)]
-# ``format_cotree``'s pieces by node kind: a leaf or a union's closing, and
-# a union's opening.
-_PIECES = ("L%d", ")", "(C L%d)", "))")
-_OPENERS = (None, "(U", None, "(C (U")
+# ``fold_leaves``' codes for a union whose children are both leaves and for
+# a union whose right child is a leaf; COMPLEMENTED stays the union's flag.
+LEAF_PAIR, LEAF_RIGHT = 4, 8
+_LEAF_FOLDS = tuple(
+    (bytes(children + (UNION | flag,)), bytes((code | flag,)))
+    for children, code in (((LEAF, LEAF), LEAF_PAIR), ((LEAF,), LEAF_RIGHT))
+    for flag in (0, COMPLEMENTED)
+)
+# ``format_cotree``'s piece by folded kind, with the space before it unless
+# it starts with ``)``: a leaf, a union's closing, a whole union of two
+# leaves, or a right leaf with its union's closing. The kinds in ``_OPENS``
+# leave their union open, and ``_PUSHES`` holds what is to come above what
+# came before: the union's opener and, unless the right child was a leaf
+# and is written already, a ``None`` for the right subtree.
+_PIECES = (
+    " L%d", ")", " (C L%d)", "))",  # LEAF, UNION, each complemented
+    " (U L%d L%d)", None, " (C (U L%d L%d))", None,  # LEAF_PAIR
+    " L%d)", None, " L%d))",  # LEAF_RIGHT
+)
+_OPENS = UNION | LEAF_RIGHT
+_PUSHES = (
+    (), (" (U", None), (), (" (C (U", None),
+    (), None, (), None,
+    (" (U",), None, (" (C (U",),
+)
 
 
 class EmptyGraphError(ValueError):
@@ -597,59 +624,89 @@ def random_cotree(n: int, seed: int) -> Cotree:
     redrawn while it is not below ``size - 1``, plus one. So every seed
     gives the same tree as the ``randint`` call did, at about half the cost.
     """
-    if n < 1:
-        raise ValueError("a cotree needs at least one leaf")
+    if not 1 <= n <= LABEL_LIMIT:
+        raise ValueError(f"a cotree has 1 .. {LABEL_LIMIT} leaves, not {n}")
     rng = random.Random(seed)
     getrandbits, draw = rng.getrandbits, rng.random
     kinds = bytearray()
+    add = kinds.append
+    union, join = -UNION, -(UNION | COMPLEMENTED)
     # A positive item is a subtree to draw with that many leaves, a negative
-    # one the kind of the union that closes a drawn pair. Each node draws its
-    # split and its complement, then its left subtree comes first.
-    todo = [n]
-    while todo:
-        size = todo.pop()
-        if size < 0:
-            kinds.append(-size)
-            continue
-        while size > 1:
+    # one the kind of the union that closes a drawn pair, and the 0 at the
+    # bottom ends the draw. Each node draws its split and its complement,
+    # then its left subtree comes first; after each leaf, the unions that it
+    # completes close. A union of two leaves makes the same draws, its split
+    # redrawn until ``getrandbits(1)`` is 0, and appends its three kinds.
+    todo = [0, n]
+    push, pop = todo.append, todo.pop
+    size = pop()
+    while size:
+        while size > 2:
             m = size - 1
             k = m.bit_length()
             r = getrandbits(k)
             while r >= m:
                 r = getrandbits(k)
-            todo += (-(UNION | COMPLEMENTED) if draw() < 0.5 else -UNION, m - r)
+            push(join if draw() < 0.5 else union)
+            push(m - r)
             size = r + 1
-        kinds.append(LEAF)
-    return _from_arrays(kinds, array("i", range(n)))
+        if size == 2:
+            while getrandbits(1):
+                pass
+            kinds += _JOINED_PAIR if draw() < 0.5 else _PAIR
+        else:
+            add(LEAF)
+        size = pop()
+        while size < 0:
+            add(-size)
+            size = pop()
+    return _from_arrays(kinds, array("i", list(range(n))))
+
+
+def fold_leaves(kinds: bytearray) -> bytearray:
+    """``kinds`` with each union of two leaves and then each union with a
+    leaf on its right as one byte, ``LEAF_PAIR`` or ``LEAF_RIGHT`` with the
+    union's ``COMPLEMENTED`` flag. In post-order a union's right child ends
+    just before it, and a leaf right child's sibling just before that. A
+    complemented leaf is not folded; ``dp.dp_run`` drops leaf flags first.
+    """
+    for pattern, code in _LEAF_FOLDS:
+        kinds = kinds.replace(pattern, code)
+    return kinds
 
 
 def format_cotree(t: Cotree) -> str:
     """S-expression serialization: ``L<id>`` | ``(U <t> <t>)`` | ``(C <t>)``.
 
-    ``kinds`` is read right to left, where a union comes before its right
-    subtree and that before its left one, and each node appends one
-    constant piece of the reversed text: its closing ``)`` or ``))``, or its
-    leaf, ``L%d`` or ``(C L%d)``. A union's opening ``(U`` or ``(C (U``
+    The kinds, folded by ``fold_leaves``, are read right to left, where a
+    union comes before its right subtree and that before its left one, and
+    each folded kind appends one constant piece of the reversed text: a
+    union's closing ``)`` or ``))``, a leaf, ``L%d`` or ``(C L%d)``, the
+    whole text of a union of two leaves, or the right leaf and closing of a
+    union with a leaf on its right. A union's opening ``(U`` or ``(C (U``
     follows once its left subtree is finished, which ``stack`` tracks: the
-    open unions' openers, each with a ``None`` above it while its left
-    subtree is still to come. The pieces are joined in text order and every
-    label filled in by one ``%``.
+    open unions' openers, each with a ``None`` above it while its right
+    subtree is still to come. Every piece but a closing brings the space
+    before it, so the pieces are joined in text order with no separator,
+    the first space is dropped, and one ``%`` fills in every label.
     """
     kinds, labels = flat(t)
     parts: list[str] = []
+    add = parts.append
     stack: list[str | None] = [None]  # popped when the whole tree is finished
-    for kind in reversed(kinds):
-        parts.append(_PIECES[kind])
-        if kind & UNION:
-            stack += (_OPENERS[kind], None)
+    pop = stack.pop
+    for kind in reversed(fold_leaves(kinds)):
+        add(_PIECES[kind])
+        if kind & _OPENS:
+            stack += _PUSHES[kind]
         else:
-            # The leaf completes a subtree. While that is a left subtree,
+            # The piece completes a subtree. While that is a left subtree,
             # its union is complete too and the union's opener follows; a
             # None means a right subtree, whose sibling comes next.
-            while opener := stack.pop():
-                parts.append(opener)
+            while opener := pop():
+                add(opener)
     parts.reverse()
-    return " ".join(parts).replace(" )", ")") % tuple(labels)
+    return "".join(parts)[1:] % tuple(labels)
 
 
 def parse_cotree(text: str) -> Cotree:

@@ -65,13 +65,14 @@ into its cell of a fixed grid indexed by the two shape ids. Cells fill
 without a lock: filling one twice stores the same plan. So a union node
 costs two list lookups and a loop over its candidates; a state with one
 candidate skips the comparison, and a plan with one state and one candidate
-skips the loop. An untraced run first rewrites the kinds with
-``bytes.replace`` so that a union of two leaves, whose table has one entry
-with both leaves chosen, and a union with a leaf as its right child each
-take one step of the loop. The solution is read off the cheapest root
-entry: one sweep down the entry ids marks the entries under it, as every
-union entry's two entries have smaller ids, and the marked leaves are the
-chosen vertices.
+skips the loop. An untraced run first drops the leaves' complement flags
+and folds the kinds with ``cotree.fold_leaves``, the encoding that
+``format_cotree`` reads too, so that a union of two leaves, whose table has
+one entry with both leaves chosen, and a union with a leaf as its right
+child each take one step of the loop. The solution is read off the
+cheapest root entry: one sweep down the entry ids marks the entries under
+it, as every union entry's two entries have smaller ids, and the marked
+leaves are the chosen vertices.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -89,8 +90,8 @@ from bisect import bisect_left
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, LEAF, UNION, Cotree, build_cotree, flat_checked
-from .cotree import iter_nodes, leaf_labels, root_components
+from .cotree import COMPLEMENTED, LEAF, LEAF_PAIR, LEAF_RIGHT, UNION, Cotree, build_cotree
+from .cotree import flat_checked, fold_leaves, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import certify
 
@@ -231,33 +232,15 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
     return plan
 
 
-# ``dp_run``'s codes for a union whose children are both leaves, and for a
-# union whose right child is a leaf, beside LEAF and UNION; COMPLEMENTED
-# stays the union's flag. ``_fold_leaves`` drops a leaf's flag first: a
-# single leaf's table reads the same complemented.
-_LEAF_PAIR, _LEAF_RIGHT = 4, 8
-_ANY_UNION = UNION | _LEAF_RIGHT
+# ``dp_run`` reads the kinds folded by ``cotree.fold_leaves``, once leaf
+# flags are dropped: a single leaf's table reads the same complemented.
+_UNFLAGGED_LEAVES = bytes([LEAF, UNION, LEAF, UNION | COMPLEMENTED]) + bytes(range(4, 256))
+_ANY_UNION = UNION | LEAF_RIGHT
 # A union of two leaves has one finite state, with both leaves chosen: its
 # shape, and its complement's, by code.
 _PAIR_SHAPES = [0] * 8
-_PAIR_SHAPES[_LEAF_PAIR] = _shape_ids[(_union_state(_CHOSEN, 1, _CHOSEN, 1),)]
-_PAIR_SHAPES[_LEAF_PAIR | COMPLEMENTED] = _complement_shapes[_PAIR_SHAPES[_LEAF_PAIR]]
-_UNFLAGGED_LEAVES = bytes([LEAF, UNION, LEAF, UNION | COMPLEMENTED]) + bytes(range(4, 256))
-_FOLDS = tuple(
-    (bytes(children + (UNION | flag,)), bytes((code | flag,)))
-    for children, code in (((LEAF, LEAF), _LEAF_PAIR), ((LEAF,), _LEAF_RIGHT))
-    for flag in (0, COMPLEMENTED)
-)
-
-
-def _fold_leaves(kinds: bytearray) -> bytearray:
-    """``kinds`` with each union of two leaves and then each union with a
-    leaf on its right as one code: in post-order a union's right child ends
-    just before it, and a leaf right child's sibling just before that."""
-    kinds = kinds.translate(_UNFLAGGED_LEAVES)
-    for pattern, code in _FOLDS:
-        kinds = kinds.replace(pattern, code)
-    return kinds
+_PAIR_SHAPES[LEAF_PAIR] = _shape_ids[(_union_state(_CHOSEN, 1, _CHOSEN, 1),)]
+_PAIR_SHAPES[LEAF_PAIR | COMPLEMENTED] = _complement_shapes[_PAIR_SHAPES[LEAF_PAIR]]
 
 
 def _size_class(i: int, leaf: bool) -> int:
@@ -287,12 +270,12 @@ def dp_run(
     again on a tree, or a part of one, whose labels have passed against as
     many weights, so a solve checks its labels once.
 
-    Without a trace the kinds are first rewritten by ``_fold_leaves`` so
-    that a union of two leaves is one step, which adds its one entry
-    straight away, and a union whose right child is a leaf is one step too,
-    which makes the leaf's table itself. A union whose plan has one state
-    with one candidate adds that entry without the candidate loop. Both
-    paths create the same entries in the same order.
+    Without a trace the kinds lose their leaf flags and are folded by
+    ``cotree.fold_leaves``, so that a union of two leaves is one step,
+    which adds its one entry straight away, and a union whose right child
+    is a leaf is one step too, which makes the leaf's table itself. A union
+    whose plan has one state with one candidate adds that entry without the
+    candidate loop. Both paths create the same entries in the same order.
 
     The root table's cheapest entry is the fault-tolerant optimum only for
     a connected tree. On a disconnected tree it is the cheapest set that
@@ -308,7 +291,7 @@ def dp_run(
     leaf_weights = map(weights.__getitem__, labels)
     if trace is None:
         nodes = None
-        kinds = _fold_leaves(kinds)
+        kinds = fold_leaves(kinds.translate(_UNFLAGGED_LEAVES))
     else:
         nodes = iter_nodes(t)
     stack: list[list] = []
@@ -316,7 +299,7 @@ def dp_run(
     leaf = _EMPTY  # the last leaf entry
     entry = len(left)  # the next union entry
     for kind in kinds:
-        if kind & _LEAF_PAIR:
+        if kind & LEAF_PAIR:
             add_left(leaf + 1)
             leaf += 2
             add_right(leaf)

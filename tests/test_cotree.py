@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -29,8 +30,16 @@ from ftmd import (
     solve,
     union_node,
 )
+from ftmd.cli import main
 from ftmd.cotree import (
+    COMPLEMENTED,
+    LABEL_LIMIT,
+    LEAF,
+    LEAF_PAIR,
+    LEAF_RIGHT,
+    UNION,
     flat,
+    fold_leaves,
     iter_nodes,
     leaf_count,
     leaf_labels,
@@ -771,6 +780,46 @@ def test_format_cotree_matches_the_reference_on_a_deep_chain():
     chain = threshold_chain(2048)
     assert_formats_as_reference(chain)
     assert_formats_as_reference(chain.child.left)
+
+
+def test_format_cotree_matches_the_reference_on_canonical_trees():
+    # build_cotree's trees fold most of their unions. They have no
+    # complemented leaf, so each is also written with some leaves
+    # complemented, which the folds must leave alone beside the ones they fold.
+    rng = random.Random(33)
+    codes = Counter()
+    for _ in range(80):
+        n = rng.randint(1, 60)
+        drawn = random_cotree(n, rng.randrange(2**31))
+        tree = build_cotree(realize(relabel(drawn, rng.sample(range(n), n))))
+        text = re.sub(
+            r"L\d+", lambda m: f"(C {m[0]})" if rng.random() < 0.3 else m[0], format_cotree(tree)
+        )
+        for t in (tree, parse_cotree(text)):
+            kinds = flat(t)[0]
+            codes.update(fold_leaves(kinds))
+            assert fold_leaves(kinds).count(LEAF | COMPLEMENTED) == kinds.count(LEAF | COMPLEMENTED)
+            assert_formats_as_reference(t)
+            assert parse_cotree(format_cotree(t)) == t
+        assert format_cotree(parse_cotree(text)) == text
+    folds = (LEAF_PAIR, LEAF_RIGHT)
+    assert all(codes[code | flag] > 0 for code in folds for flag in (0, COMPLEMENTED))
+    assert all(codes[kind] > 0 for kind in (LEAF, UNION, LEAF | COMPLEMENTED, UNION | COMPLEMENTED))
+
+
+def test_random_cotree_and_gen_refuse_more_leaves_than_labels_before_drawing(monkeypatch, capsys):
+    def no_draw(seed):
+        raise AssertionError("random_cotree drew a tree")
+
+    monkeypatch.setattr(cotree_module, "random", SimpleNamespace(Random=no_draw))
+    for n in (LABEL_LIMIT + 1, 2**40, 0, -1):
+        with pytest.raises(ValueError, match="leaves"):
+            random_cotree(n, 1)
+    assert main(["gen", str(LABEL_LIMIT + 1), "1"]) == 1
+    err = capsys.readouterr().err
+    assert f"must be at most {LABEL_LIMIT}" in err and "Traceback" not in err
+    assert main(["gen", "-h"]) == 0
+    assert f"1 .. {LABEL_LIMIT}" in capsys.readouterr().out
 
 
 def test_find_induced_p4_examples():

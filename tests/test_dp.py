@@ -627,9 +627,10 @@ def test_untraced_run_matches_the_reference_and_the_traced_run():
         assert (root.left, root.right) == (traced.left, traced.right)
         assert sets_of(root) == sets_of(reference_dp.dp_run(tree, weights))
         codes.update(flat(tree)[0])
-        codes.update(dp_module._fold_leaves(flat(tree)[0]))
+        unflagged = flat(tree)[0].translate(dp_module._UNFLAGGED_LEAVES)
+        codes.update(cotree_module.fold_leaves(unflagged))
     assert codes[LEAF | COMPLEMENTED] > 0
-    pair, right = dp_module._LEAF_PAIR, dp_module._LEAF_RIGHT
+    pair, right = cotree_module.LEAF_PAIR, cotree_module.LEAF_RIGHT
     assert all(codes[code] > 0 for code in (pair, pair | COMPLEMENTED, right, right | COMPLEMENTED))
 
 
