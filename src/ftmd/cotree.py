@@ -104,20 +104,19 @@ _LEAF_FOLDS = tuple(
 )
 # ``format_cotree``'s piece by folded kind, with the space before it unless
 # it starts with ``)``: a leaf, a union's closing, a whole union of two
-# leaves, or a right leaf with its union's closing. The kinds in ``_OPENS``
-# leave their union open, and ``_PUSHES`` holds what is to come above what
-# came before: the union's opener and, unless the right child was a leaf
-# and is written already, a ``None`` for the right subtree.
+# leaves, or a right leaf with its union's closing. ``_PUSHES`` holds what a
+# kind leaves open, above what came before: nothing for a finished subtree,
+# else the union's opener and, unless its right child was a leaf and is
+# written already, a ``None`` for the right subtree.
 _PIECES = (
     " L%d", ")", " (C L%d)", "))",  # LEAF, UNION, each complemented
     " (U L%d L%d)", None, " (C (U L%d L%d))", None,  # LEAF_PAIR
     " L%d)", None, " L%d))",  # LEAF_RIGHT
 )
-_OPENS = UNION | LEAF_RIGHT
 _PUSHES = (
     (), (" (U", None), (), (" (C (U", None),
-    (), None, (), None,
-    (" (U",), None, (" (C (U",),
+    (), (), (), (),
+    (" (U",), (), (" (C (U",),
 )
 
 
@@ -697,8 +696,8 @@ def format_cotree(t: Cotree) -> str:
     pop = stack.pop
     for kind in reversed(fold_leaves(kinds)):
         add(_PIECES[kind])
-        if kind & _OPENS:
-            stack += _PUSHES[kind]
+        if opened := _PUSHES[kind]:
+            stack += opened
         else:
             # The piece completes a subtree. While that is a left subtree,
             # its union is complete too and the union's opener follows; a
