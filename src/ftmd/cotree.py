@@ -13,15 +13,16 @@ root. The functions here and ``dp.dp_run`` work on the arrays and create no
 object per node. ``parse_cotree`` checks each slice of its text with bytes
 operations, converts its labels with one ``map(int, ...)`` and makes one
 loop step per token, or one per folded ``(U L L)``, ``(C (U L L))`` or
-``(C L)``; text that fails a check is parsed token by token, which gives
-every error message. ``fold_leaves`` is the one encoding of a union of two
-leaves, or with a leaf on its right, as a single kind byte: ``format_cotree``
-reads its kinds folded, writing such a union in one step, and so does
-``dp.dp_run``. ``random_cotree`` refuses more leaves than ``LABEL_LIMIT``
-before it draws. ``Leaf``, ``Union`` and ``Complement`` are views of one
-subtree, typed by its root; equality, hashing and pickling use the
-subtree's arrays, and ``repr`` is the ``parse_cotree`` call that rebuilds
-it. New trees come from ``Leaf(v)``, ``union_node`` and
+``(C L)``. Only a slice that fails a check is read token by token, and its
+tokens feed the same loop, so an error is named where the loop reaches it,
+whichever way its slice was read. ``fold_leaves`` is the one encoding of a
+union of two leaves, or with a leaf on its right, as a single kind byte:
+``format_cotree`` reads its kinds folded, writing such a union in one step,
+and so does ``dp.dp_run``. ``random_cotree`` refuses more leaves than
+``LABEL_LIMIT`` before it draws. ``Leaf``, ``Union`` and ``Complement`` are
+views of one subtree, typed by its root; equality, hashing and pickling use
+the subtree's arrays, and ``repr`` is the ``parse_cotree`` call that
+rebuilds it. New trees come from ``Leaf(v)``, ``union_node`` and
 ``complement_node``, which concatenate the arrays.
 
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
@@ -64,7 +65,7 @@ LABEL_LIMIT = 2**31
 _CODE_SEED = 0x5EED
 # Characters of cotree text tokenised at a time by ``parse_cotree``.
 _PARSE_SLICE = 1 << 16
-# ``_parse_bulk``'s byte classes: ``C`` reads as ``U``, a digit as ``0``,
+# ``_bulk_ops``' byte classes: ``C`` reads as ``U``, a digit as ``0``,
 # the ASCII spaces that ``bytes.split`` splits on as a space, and any other
 # byte that no token has as ``!``; ``(``, ``)``, ``U`` and ``L`` stay.
 _DIGITS, _SPACES = b"0123456789", b" \t\n\r\x0b\x0c"
@@ -77,14 +78,15 @@ _CLASSES = bytes(
     for c in range(256)
 )
 # An ``L`` glued after an operator's letter or after a digit. The other
-# glued pairs fail ``_parse_bulk``'s counts: a ``U`` or ``C`` not after a
+# glued pairs fail ``_bulk_ops``' counts: a ``U`` or ``C`` not after a
 # ``(``, or a digit run not after an ``L``.
 _GLUED = (b"UL", b"0L")
 _DIGIT_RUNS = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
 # Token spellings, digits and spaces deleted, folded to one byte each; a
-# byte that stands for a whole subtree appends its kinds.
+# byte that stands for a whole subtree appends its kinds. ``_token_ops``
+# yields the unfolded ops.
 _FOLDS = ((b"(C(ULL))", b"X"), (b"(ULL)", b"Y"), (b"(CL)", b"Z"), (b"(U", b"u"), (b"(C", b"c"))
-_CLOSE, _OPEN_U, _OPEN_C = b")uc"
+_CLOSE, _OPEN_U, _OPEN_C, _LEAF_OP = b")ucL"
 # The kinds of a union of two leaves, plain and complemented.
 _PAIR, _JOINED_PAIR = bytes((LEAF, LEAF, UNION)), bytes((LEAF, LEAF, UNION | COMPLEMENTED))
 _FOLDED = {
@@ -721,16 +723,59 @@ def parse_cotree(text: str) -> Cotree:
     characters, each cut just before a ``)``, so no token is cut and the
     token list of the whole text never exists.
 
-    ``_parse_bulk`` makes that pass over one byte per token, checking each
-    slice with bytes operations first; ``_parse_tokens`` makes it over the
-    tokens and is the one source of error messages. Input that the bulk
-    path refuses, an error or only a spelling it does not take, such as
-    ``( U`` or a non-ASCII space, is parsed again by ``_parse_tokens``. The
-    bulk path refuses everything that the token loop rejects, so both give
-    the same tree or the same message.
+    Each slice reaches that loop as op bytes: ``)``, ``u`` for ``(U``,
+    ``c`` for ``(C``, ``L`` for a leaf, or a folded subtree's byte of
+    ``_FOLDED_KINDS``. ``_bulk_ops`` makes them with bytes operations; only
+    a slice that it refuses, for an error or for a spelling it does not
+    take, such as ``( U`` or a non-ASCII space, is read by ``_token_ops``,
+    which raises a bad token's message when the loop asks for that token's
+    op. The loop raises every other message. It does not test on every op
+    that the text holds one term: outside all operators ``done`` only
+    grows, so that rule was broken before an error, or by the end of the
+    text, exactly when this outer ``done`` exceeds 1. The outermost open
+    operator recorded it, and a failing ``)`` pushes its operator back to
+    keep that record.
     """
-    arrays = _parse_bulk(text)
-    return _from_arrays(*arrays) if arrays else _parse_tokens(text)
+    kinds = bytearray()
+    labels = array("i")
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    done = 0
+    try:
+        for piece in _slices(text):
+            ops = _bulk_ops(piece, labels)
+            for op in _token_ops(piece, labels) if ops is None else ops:
+                if op == _CLOSE:
+                    if not stack:
+                        raise ValueError("unbalanced ')'")
+                    opened = pop()
+                    if opened >= 0:
+                        if done - opened != 2:
+                            push(opened)
+                            raise ValueError("U takes exactly two subtrees")
+                        kinds.append(UNION)
+                        done -= 1
+                    elif done + opened:  # done - ~opened != 1
+                        push(opened)
+                        raise ValueError("C takes exactly one subtree")
+                    else:
+                        kinds[-1] ^= COMPLEMENTED
+                elif op == _OPEN_U:
+                    push(done)
+                elif op == _OPEN_C:
+                    push(~done)
+                else:
+                    kinds += _FOLDED_KINDS[op]
+                    done += 1
+        # With no operator open, done is 0 only for a text with no token,
+        # and above 1 for more than one term, which the handler names.
+        if stack or done != 1:
+            raise ValueError("unbalanced '('" if stack else "empty cotree text")
+    except ValueError:
+        if (max(stack[0], ~stack[0]) if stack else done) > 1:
+            raise ValueError("multiple top-level cotree terms") from None
+        raise
+    return _from_arrays(kinds, labels)
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -745,131 +790,81 @@ def _slices(text: str) -> Iterator[str]:
         start = end
 
 
-def _parse_bulk(text: str) -> tuple[bytearray, array] | None:
-    """``parse_cotree``'s arrays, or ``None`` when a slice fails a check or
-    the tree is malformed.
+def _bulk_ops(piece: str, labels: array) -> bytes | None:
+    """The op bytes of one slice for ``parse_cotree``'s loop, its labels
+    appended to ``labels``; or ``None``, with ``labels`` as it was, when the
+    slice fails a check.
 
     A slice passes when it is ASCII and, in ``_CLASSES``, has no byte
     outside the grammar, a ``U`` or ``C`` after every ``(`` and a ``(``
     before each, a digit after every ``L``, no ``L`` right after an
     operator or a digit, and as many digit runs as ``L``s, so that every
     run follows an ``L``. Its tokens are then ``(U``, ``(C``, ``)`` and
-    ``L`` with digits, as ``_parse_tokens`` would split them; the labels
-    are its digit runs, converted by one ``map(int, ...)``, and with the
-    digits and spaces deleted each token but ``(U`` and ``(C`` is one byte.
+    ``L`` with digits, as ``_token_ops`` would split them; the labels are
+    its digit runs, converted by one ``map(int, ...)``, and with the digits
+    and spaces deleted each token but ``(U`` and ``(C`` is one byte.
     ``_FOLDS`` folds those two into one byte each and, first,
     ``(C (U L L))``, ``(U L L)`` and ``(C L)`` into one byte that appends
     their kinds. A pattern that a slice boundary cuts is not folded, and
     its tokens take one step each.
     """
-    kinds = bytearray()
-    labels = array("i")
-    stack: list[int] = []
-    push, pop = stack.append, stack.pop
-    done = 0
-    for piece in _slices(text):
-        if not piece.isascii():
-            return None
-        raw = piece.encode("ascii")
-        classes = raw.translate(_CLASSES)
-        openers = classes.count(b"(")
-        leaves = classes.count(b"L")
-        if (
-            b"!" in classes
-            or classes.count(b"(U") != openers
-            or classes.count(b"U") != openers
-            or classes.count(b"L0") != leaves
-            or any(pair in classes for pair in _GLUED)
-        ):
-            return None
-        runs = raw.translate(_DIGIT_RUNS).split()
-        if len(runs) != leaves:
-            return None
-        try:
-            labels.extend(map(int, runs))
-        except (OverflowError, ValueError):
-            return None
-        ops = raw.translate(None, _DIGITS + _SPACES)
-        for pattern, op in _FOLDS:
-            ops = ops.replace(pattern, op)
-        for op in ops:
-            if op == _CLOSE:
-                if not stack:
-                    return None
-                opened = pop()
-                if opened >= 0:
-                    if done - opened != 2:
-                        return None
-                    kinds.append(UNION)
-                    done -= 1
-                elif done + opened:  # done - ~opened != 1
-                    return None
-                else:
-                    kinds[-1] ^= COMPLEMENTED
-            elif op == _OPEN_U:
-                push(done)
-            elif op == _OPEN_C:
-                push(~done)
-            else:
-                kinds += _FOLDED_KINDS[op]
-                done += 1
-    # Each closed top-level term stays one finished subtree.
-    if stack or done != 1:
+    if not piece.isascii():
         return None
-    return kinds, labels
+    raw = piece.encode("ascii")
+    classes = raw.translate(_CLASSES)
+    openers = classes.count(b"(")
+    leaves = classes.count(b"L")
+    if (
+        b"!" in classes
+        or classes.count(b"(U") != openers
+        or classes.count(b"U") != openers
+        or classes.count(b"L0") != leaves
+        or any(pair in classes for pair in _GLUED)
+    ):
+        return None
+    runs = raw.translate(_DIGIT_RUNS).split()
+    if len(runs) != leaves:
+        return None
+    count = len(labels)
+    try:
+        labels.extend(map(int, runs))
+    except (OverflowError, ValueError):
+        del labels[count:]
+        return None
+    ops = raw.translate(None, _DIGITS + _SPACES)
+    for pattern, op in _FOLDS:
+        ops = ops.replace(pattern, op)
+    return ops
 
 
-def _parse_tokens(text: str) -> Cotree:
-    """``parse_cotree`` token by token, with its error messages. An opener
-    is one token, ``(U`` or ``(C``, unless space follows the ``(``; then
-    the operator is the next token of the same slice, since the next slice
-    starts with a ``)``, which is no operator either."""
-    kinds = bytearray()
-    labels = array("i")
-    stack: list[int] = []
-    done = 0
-    for piece in _slices(text):
-        tokens = iter(piece.replace("(", " (").replace(")", " ) ").split())
-        for tok in tokens:
-            if tok == ")":
-                if not stack:
-                    raise ValueError("unbalanced ')'")
-                opened = stack.pop()
-                if opened >= 0:
-                    if done - opened != 2:
-                        raise ValueError("U takes exactly two subtrees")
-                    kinds.append(UNION)
-                    done -= 1
-                else:
-                    if done - ~opened != 1:
-                        raise ValueError("C takes exactly one subtree")
-                    kinds[-1] ^= COMPLEMENTED
-            elif tok[0] == "(":
-                if tok == "(":
-                    tok += next(tokens, "")
-                if tok == "(U":
-                    stack.append(done)
-                elif tok == "(C":
-                    stack.append(~done)
-                else:
-                    raise ValueError("expected U or C after '('")
-                continue
-            elif tok == "U" or tok == "C":
-                raise ValueError(f"operator {tok!r} outside parentheses")
+def _token_ops(piece: str, labels: array) -> Iterator[int]:
+    """The op bytes of one slice, token by token, each leaf's label
+    appended to ``labels`` as its op is taken; a bad token raises its
+    message when its op is asked for. An opener is one token, ``(U`` or
+    ``(C``, unless space follows the ``(``; then the operator is the next
+    token of the same slice, since the next slice starts with a ``)``,
+    which is no operator either."""
+    tokens = iter(piece.replace("(", " (").replace(")", " ) ").split())
+    for tok in tokens:
+        if tok == ")":
+            yield _CLOSE
+        elif tok[0] == "(":
+            if tok == "(":
+                tok += next(tokens, "")
+            if tok == "(U":
+                yield _OPEN_U
+            elif tok == "(C":
+                yield _OPEN_C
             else:
-                digits = tok[1:]
-                if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
-                    raise ValueError(f"bad token {tok!r}")
-                try:
-                    labels.append(int(digits))
-                except (OverflowError, ValueError):  # ValueError: int()'s digit limit
-                    raise ValueError(f"leaf label {tok!r} out of range") from None
-                kinds.append(LEAF)
-                done += 1
-            if done > 1 and not stack:
-                raise ValueError("multiple top-level cotree terms")
-    if stack:
-        raise ValueError("unbalanced '('")
-    if not kinds:  # a text with any token has a kind or an error by now
-        raise ValueError("empty cotree text")
-    return _from_arrays(kinds, labels)
+                raise ValueError("expected U or C after '('")
+        elif tok == "U" or tok == "C":
+            raise ValueError(f"operator {tok!r} outside parentheses")
+        else:
+            digits = tok[1:]
+            if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
+                raise ValueError(f"bad token {tok!r}")
+            try:
+                labels.append(int(digits))
+            except (OverflowError, ValueError):  # ValueError: int()'s digit limit
+                raise ValueError(f"leaf label {tok!r} out of range") from None
+            yield _LEAF_OP

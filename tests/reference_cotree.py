@@ -12,6 +12,13 @@ that ``ftmd.cotree`` replaced with faster ones: the generator drew each split
 with ``Random.randint``, and the writer walked the tree top down, left to
 right, over the leaf counts of ``_leaf_counts``. Tests check that the new
 ones give the same trees and the same text.
+
+``parse_cotree`` is the token loop that ``ftmd.parse_cotree`` ran on text
+its byte checks refused, parsing the whole text again: one step per token,
+testing the "multiple top-level" rule after each. ``ftmd.parse_cotree``
+now reads only a refused slice token by token, feeding the same loop as
+the byte-checked slices; tests check that it gives this function's tree or
+message on any text.
 """
 
 import random
@@ -29,6 +36,7 @@ from ftmd.cotree import (
     NotCographError,
     _from_arrays,
     _leaf_counts,
+    _slices,
     complement_node,
     flat,
     iter_nodes,
@@ -204,3 +212,59 @@ def format_cotree(t: Cotree) -> str:
             parts.append(f"L{labels[leaf]}")
             leaf += 1
     return " ".join(parts).replace(" )", ")")
+
+
+def parse_cotree(text: str) -> Cotree:
+    """``ftmd.parse_cotree`` as it read text token by token. An opener
+    is one token, ``(U`` or ``(C``, unless space follows the ``(``; then
+    the operator is the next token of the same slice, since the next slice
+    starts with a ``)``, which is no operator either."""
+    kinds = bytearray()
+    labels = array("i")
+    stack: list[int] = []
+    done = 0
+    for piece in _slices(text):
+        tokens = iter(piece.replace("(", " (").replace(")", " ) ").split())
+        for tok in tokens:
+            if tok == ")":
+                if not stack:
+                    raise ValueError("unbalanced ')'")
+                opened = stack.pop()
+                if opened >= 0:
+                    if done - opened != 2:
+                        raise ValueError("U takes exactly two subtrees")
+                    kinds.append(UNION)
+                    done -= 1
+                else:
+                    if done - ~opened != 1:
+                        raise ValueError("C takes exactly one subtree")
+                    kinds[-1] ^= COMPLEMENTED
+            elif tok[0] == "(":
+                if tok == "(":
+                    tok += next(tokens, "")
+                if tok == "(U":
+                    stack.append(done)
+                elif tok == "(C":
+                    stack.append(~done)
+                else:
+                    raise ValueError("expected U or C after '('")
+                continue
+            elif tok == "U" or tok == "C":
+                raise ValueError(f"operator {tok!r} outside parentheses")
+            else:
+                digits = tok[1:]
+                if tok[0] != "L" or not (digits.isascii() and digits.isdecimal()):
+                    raise ValueError(f"bad token {tok!r}")
+                try:
+                    labels.append(int(digits))
+                except (OverflowError, ValueError):  # ValueError: int()'s digit limit
+                    raise ValueError(f"leaf label {tok!r} out of range") from None
+                kinds.append(LEAF)
+                done += 1
+            if done > 1 and not stack:
+                raise ValueError("multiple top-level cotree terms")
+    if stack:
+        raise ValueError("unbalanced '('")
+    if not kinds:  # a text with any token has a kind or an error by now
+        raise ValueError("empty cotree text")
+    return _from_arrays(kinds, labels)

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import itertools
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 import ftmd
 from ftmd import parse_cotree, realize, from_edges
@@ -238,6 +243,75 @@ def test_solve_prints_any_weight_token_or_one_error(tmp_path, p3_file, token, ou
     if err:
         err = f"error: {weights}:1: {err}\n"
     assert (result.returncode, result.stdout, result.stderr) == (bool(err), out, err)
+
+
+# int()'s string limit; Python 3.10 before 3.10.7 has none to ask for.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+# Numerals for a reader to answer or refuse in one line: digit strings near
+# the limit, exponents up to +-5000, signs, leading zeros, and spellings
+# that int() or float() take and the files do not.
+NUMERALS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["", "-", "+", "0"]),
+        st.integers(_DIGIT_LIMIT - 2, _DIGIT_LIMIT + 2).map("9".__mul__),
+    ),
+    st.builds(
+        "{}{}e{}".format,
+        st.sampled_from(["", "-", "+"]),
+        st.sampled_from(["1", "2.5", ".5", "5.", "0"]),
+        st.integers(-5000, 5000),
+    ),
+    st.sampled_from(
+        [".5", "5.", "1_0", "nan", "inf", "-inf", "NaN", "007", "-0", "1e400", "0x1", "\u0663"]
+    ),
+)
+BAD_LINES = ["x", "1", "1 2 3", "# a comment", "", "  ", "0 0", "0 1", "0 1 # c"]
+
+
+@st.composite
+def instances(draw):
+    """A small edge list and weight file. The edges are distinct and make
+    cographs and non-cographs; now and then a bad line or a hostile numeral
+    joins them. The weights are numerals for vertices 0, 1, ..., and at
+    most one past the last vertex."""
+    n = draw(st.integers(0, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]
+    if draw(st.booleans()):
+        bad = draw(st.one_of(st.sampled_from(BAD_LINES), NUMERALS.map("0 {}".format)))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    weights = draw(st.lists(NUMERALS, max_size=n + 1))
+    return n, lines, [f"{v} {w}" for v, w in enumerate(weights)]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(instances(), st.sampled_from(["solve", "--verify", "--cotree", "--oracle", *MODES]))
+def test_main_answers_or_prints_one_error_line(instance, command):
+    """Every small file gets an answer or one ``error:`` line and an exit
+    code of 0 to 3, within the example's 2 s deadline; an exception would
+    escape ``main`` as a traceback does from the command."""
+    n, lines, weight_lines = instance
+    with tempfile.TemporaryDirectory() as directory:
+        graph, weights = os.path.join(directory, "g.txt"), os.path.join(directory, "w.txt")
+        Path(graph).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(weights).write_text("".join(f"{line}\n" for line in weight_lines), encoding="utf-8")
+        if command in MODES:
+            argv = ["check", graph, command, *map(str, range(0, n, 2))]
+        else:
+            argv = ["solve", graph, "--weights", weights]
+            if command != "solve":
+                argv.append(command)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (1, 2):
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_integer_solve_leaves_decimal_unimported(p3_file):

@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import combinations
 from types import SimpleNamespace
@@ -524,6 +525,16 @@ PARSE_ERRORS = {
     "(U L\u0663 L0)": "bad token 'L\u0663'",
     # More digits than int() converts.
     "L" + "1" * 5000: f"leaf label 'L{'1' * 5000}' out of range",
+    # A second top-level term is an error once it is finished: before any
+    # token after it, but after its own operator's error or an operator
+    # left open in it.
+    "L0 (U L1 L2 L3)": "U takes exactly two subtrees",
+    "L0 (C L1 L2)": "C takes exactly one subtree",
+    "L0 L1 (U L2)": "multiple top-level cotree terms",
+    "L0 L1 )": "multiple top-level cotree terms",
+    "L0 L1 (U": "multiple top-level cotree terms",
+    "L0 L1 x": "multiple top-level cotree terms",
+    "L0 (U L1": "unbalanced '('",
 }
 
 
@@ -534,10 +545,10 @@ def test_parse_rejects_bad_input(text):
     assert str(exc.value) == PARSE_ERRORS[text]
 
 
-def _parse_outcome(text):
-    """The tree ``parse_cotree`` returns, or the message it raises."""
+def _parse_outcome(text, parse=parse_cotree):
+    """The tree ``parse`` returns, or the message it raises."""
     try:
-        return parse_cotree(text)
+        return parse(text)
     except ValueError as err:
         return str(err)
 
@@ -579,7 +590,7 @@ def test_sliced_parse_raises_the_unsliced_messages(monkeypatch):
 # Hostile tokens to plant in a formatted tree, each as the pattern of what
 # it replaces and its replacement: separators that str.split() takes and
 # bytes.split() does not, glued tokens, and tokens that the bulk checks
-# must refuse or read as the token loop does.
+# must refuse or read as the reference parser does.
 PLANTED = {
     **{ascii(sep): (" ", sep) for sep in "\x1c\x1d\x1e\x1f\x85\xa0"},
     "L-arabic-digit": (r"L\d+", "L\u0663"),
@@ -599,14 +610,6 @@ PLANTED = {
 }
 
 
-def _token_outcome(text):
-    """The tree or the message of the token loop alone."""
-    try:
-        return cotree_module._parse_tokens(text)
-    except ValueError as err:
-        return str(err)
-
-
 @pytest.mark.parametrize("name", list(PLANTED))
 def test_parse_matches_the_token_loop_with_a_planted_token(monkeypatch, name):
     monkeypatch.setattr(cotree_module, "_PARSE_SLICE", 1 << 10)
@@ -617,15 +620,57 @@ def test_parse_matches_the_token_loop_with_a_planted_token(monkeypatch, name):
         tree = random_cotree(rng.randint(400, 500), rng.randrange(2**31))
         text = format_cotree(tree)
         assert len(text) > 4 * cotree_module._PARSE_SLICE
-        assert cotree_module._parse_bulk(text) == flat(tree)
+        # Formatted text takes the byte path in every slice.
+        labels = array("i")
+        for piece in cotree_module._slices(text):
+            assert cotree_module._bulk_ops(piece, labels) is not None
+        assert labels == flat(tree)[1]
         matches = list(re.finditer(pattern, text))
         for where in (0.01, 0.5, 0.99):
             m = matches[int(where * len(matches))]
             sown = text[: m.start()] + m.expand(planted) + text[m.end() :]
             outcome = _parse_outcome(sown)
-            assert outcome == _token_outcome(sown)
+            assert outcome == _parse_outcome(sown, reference_cotree.parse_cotree)
             trees += not isinstance(outcome, str)
     assert trees == (12 if pattern == " " or name == "L007" else 0)
+
+
+# Token soup: separators that str.split() takes and bytes.split() does not,
+# glued tokens, a spaced opener, other scripts' digits and a label past the
+# range, beside the tokens of the grammar.
+SOUP = [
+    "(", ")", "(U", "(C", "( U", "U", "C", "L", "L1", "L23", "L1L2", "1L",
+    "x", " ", " ", "\t", "\x1c", "\xa0", "L\u0663", f"L{2**31}",
+]
+
+
+# Spellings that the byte checks refuse and ``_token_ops`` reads as the
+# formatted text: the tree comes from byte-checked and token-read slices.
+RESPELLED = [("(U", "( U"), ("(C", "(\tC"), (" ", "\x1c"), (" ", "\xa0"), (" L", "\n L")]
+
+
+def test_parse_matches_the_reference_on_soup_and_planted_trees(monkeypatch):
+    rng = random.Random(47)
+    texts = ["".join(rng.choices(SOUP, k=rng.randint(0, 14))) for _ in range(1500)]
+    for _ in range(300):
+        text = format_cotree(random_cotree(rng.randint(1, 40), rng.randrange(2**31)))
+        at = rng.randrange(len(text) + 1)
+        texts.append(text[:at] + rng.choice(SOUP) + text[at:])
+        spelling, respelled = rng.choice(RESPELLED)
+        at = text.rfind(spelling, 0, rng.randrange(len(text)) + len(spelling))
+        if at >= 0:
+            texts.append(text[:at] + respelled + text[at + len(spelling) :])
+    outcomes = []
+    for size in [cotree_module._PARSE_SLICE, *range(1, 9)]:
+        monkeypatch.setattr(cotree_module, "_PARSE_SLICE", size)
+        for text in texts:
+            outcome = _parse_outcome(text)
+            assert outcome == _parse_outcome(text, reference_cotree.parse_cotree), (size, text)
+            outcomes.append(outcome)
+    # Every message occurs, with any token quoted in it, and so do trees.
+    messages = [re.sub(r"'.*'", "''", o) for o in outcomes if isinstance(o, str)]
+    assert set(messages) == {re.sub(r"'.*'", "''", m) for m in PARSE_ERRORS.values()}
+    assert len(outcomes) - len(messages) > 1000
 
 
 def test_parse_peak_memory_stays_below_twice_the_text():
