@@ -2,7 +2,7 @@
 
 Independent of the cotree solver: feasibility of a subset is decided from
 per-pair separator bitmasks derived directly from BFS distances (resolving
-variants) or neighbourhood symmetric differences (the ``h`` based variant).
+variants) or neighbourhood symmetric differences (the ``2nr`` variant).
 Enumeration is sequential and deterministic; the witness is the
 lexicographically smallest optimal set.
 """

@@ -14,10 +14,13 @@ neighbourhood symmetric differences) on any graph: ``first_unresolved_pair``
 names the least pair separated fewer than k times, ``is_fault_tolerant`` is
 the paper's definition over it with k = 1 (the set resolves, and so does
 the set less any one member), and ``first_failing_pair`` names a mode's
-least failing pair. Every checker but ``h`` raises ``ValueError`` for a
-chosen vertex outside ``0 .. n-1``. Tests and the brute-force oracle use
-these checkers as the ground truth that the cotree pass is tested against,
-and ``ftmd check`` uses them on graphs that are not cographs.
+least failing pair. For ``2nr`` a pair's count is the number of chosen
+vertices in ``N(u) symdiff N(v)``, u and v included, and
+``first_low_h_pair`` is the one place that counts it. Every checker raises
+``ValueError`` for a chosen vertex outside ``0 .. n-1``. Tests and the
+brute-force oracle use these checkers as the ground truth that the cotree
+pass is tested against, and ``ftmd check`` uses them on graphs that are not
+cographs.
 """
 
 from __future__ import annotations
@@ -33,13 +36,6 @@ MODES = ("resolving", "ft", "2nr")
 # A node kind of ``cotree_weak_pair``'s walk only: a whole component taken
 # as one vertex.
 _LONE = 4
-
-
-def h(g: Graph, r: VertexSet, u: int, v: int) -> int:
-    """Number of chosen vertices in ``N(u) symdiff N(v)`` together with u, v."""
-    if u == v:
-        raise ValueError("h is defined for distinct vertices only")
-    return len(((g.adj[u] ^ g.adj[v]) | {u, v}).intersection(r))
 
 
 def _members(r: VertexSet, n: int) -> frozenset[int]:
@@ -78,7 +74,8 @@ def is_fault_tolerant(g: Graph, r: VertexSet) -> bool:
 
 
 def first_low_h_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
-    """First pair (ascending) with ``h`` below two, or ``None``."""
+    """First pair (ascending) with fewer than two chosen vertices in
+    ``N(u) symdiff N(v)``, u and v included, or ``None``."""
     chosen = _members(r, g.n)
     for u in range(g.n):
         au = g.adj[u]
@@ -89,7 +86,8 @@ def first_low_h_pair(g: Graph, r: VertexSet) -> tuple[int, int] | None:
 
 
 def is_2nr(g: Graph, r: VertexSet) -> bool:
-    """2-neighbourhood-resolving: ``h(u, v) >= 2`` for every pair."""
+    """2-neighbourhood-resolving: every pair has at least two chosen
+    vertices in ``N(u) symdiff N(v)``, u and v included."""
     return first_low_h_pair(g, r) is None
 
 
@@ -117,7 +115,7 @@ def cotree_weak_pair(tree: Cotree, r: VertexSet, mode="ft") -> tuple[int, int] |
     that node's subtree sees both ends alike. With ``u`` on one side and
     ``v`` on the other, the members that count for the pair are
     ``(R & N[u]) | (R & N[v])`` in the union's own graph, a set that
-    complements leave alone: ``h`` counts it at every union, and so do
+    complements leave alone: mode ``2nr`` counts it at every union, and so do
     distances inside a component, a connected cograph of diameter at most 2.
     So the pair fails when ``c(u) + c(v) < 2``, with ``c(x) = |R & N[x]|``;
     in mode ``resolving`` a member counts twice, as one is enough there.

@@ -1,4 +1,10 @@
-"""The bitset fault-tolerance checker, kept as a test oracle.
+"""The bitset fault-tolerance checker and the pair count ``h``, kept as test
+oracles.
+
+``h`` counts one pair's chosen vertices in ``N(u) symdiff N(v)``, u and v
+included, straight from the definition; ``ftmd.resolving.first_low_h_pair``
+counts the same for every pair in one scan. ``test_resolving.py`` pins the
+count's examples, symmetry and monotonicity.
 
 ``weak_pair`` works on a graph, not a cotree: adjacency bitsets per
 connected component, the diameter bound of connected cographs, and a scan
@@ -15,6 +21,13 @@ from typing import Iterable
 
 from ftmd.graph import Graph, connected_components
 from ftmd.resolving import VertexSet, first_unresolved_pair
+
+
+def h(g: Graph, r: VertexSet, u: int, v: int) -> int:
+    """Number of chosen vertices in ``N(u) symdiff N(v)`` together with u, v."""
+    if u == v:
+        raise ValueError("h is defined for distinct vertices only")
+    return len(((g.adj[u] ^ g.adj[v]) | {u, v}).intersection(r))
 
 
 def _mask(positions: Iterable[int], width: int) -> int:

@@ -19,9 +19,9 @@ from ftmd import (
     solve_cotree,
 )
 from ftmd.graph import bfs_distances, disjoint_union
-from ftmd.resolving import MODES, certify, first_failing_pair, first_unresolved_pair, h, is_2nr
+from ftmd.resolving import MODES, certify, first_failing_pair, first_unresolved_pair, is_2nr
 import reference_resolving
-from reference_resolving import weak_pair
+from reference_resolving import h, weak_pair
 from signatures import k_vertex_profile, state_signature
 from strategies import (
     cographs,
