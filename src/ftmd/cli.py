@@ -18,12 +18,12 @@ from collections import Counter, defaultdict
 from operator import lt
 from typing import TYPE_CHECKING, BinaryIO, Callable, Sequence, TextIO
 
-from . import resolving
 from .cotree import LABEL_LIMIT, EmptyGraphError, NotCographError, build_cotree
-from .cotree import format_cotree, neighbour_rows, random_cotree
+from .cotree import format_cotree, neighbour_rows, random_cotree, realises
 from .dp import solve
 from .graph import Graph
 from .oracle import MAX_VERTICES, oracle_min_ft
+from .resolving import MODES, certify, cotree_weak_pair, first_failing_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -307,12 +307,14 @@ def _first_duplicate(
 
 
 class _VertexIds(dict):
-    """Maps an endpoint token to its vertex id, and an id to itself, so that
-    equal ids share one ``int`` however they are written."""
+    """Maps an endpoint token to its vertex id. A new id is also stored
+    under its decimal spelling, whose ``int`` every later spelling shares,
+    so ``7``, ``07`` and ``+7`` give one object, and a file that writes its
+    ids in decimal keeps one entry per vertex."""
 
     def __missing__(self, token: str) -> int:
         v = _number(token)
-        v = self[token] = self.setdefault(v, v)
+        v = self[token] = self.setdefault(str(v), v)
         return v
 
 
@@ -416,7 +418,7 @@ def cmd_solve(args) -> int:
     print(" ".join(map(str, solution.vertices)))
     if args.cotree:
         print(format_cotree(solution.tree))
-    if args.verify and (reason := resolving.certify(solution.tree, g, solution.vertices)):
+    if args.verify and (reason := certify(solution.tree, g, solution.vertices)):
         print(f"error: solution failed fault-tolerance verification: {reason}", file=sys.stderr)
         return 1
     if args.oracle:
@@ -449,13 +451,13 @@ def cmd_check(args) -> int:
             return 1
     try:
         tree = build_cotree(g)
-        certified = resolving.realises(tree, g) is None
+        certified = realises(tree, g) is None
     except (NotCographError, EmptyGraphError):
         certified = False
     if certified:
-        pair = resolving.cotree_weak_pair(tree, args.vertices, args.mode)
+        pair = cotree_weak_pair(tree, args.vertices, args.mode)
     else:
-        pair = resolving.first_failing_pair(g, args.vertices, args.mode)
+        pair = first_failing_pair(g, args.vertices, args.mode)
     if pair is None:
         print("YES")
         return 0
@@ -535,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="test whether a set satisfies a predicate")
     p_check.add_argument("graph")
-    p_check.add_argument("mode", choices=resolving.MODES)
+    p_check.add_argument("mode", choices=MODES)
     p_check.add_argument("vertices", nargs="*", type=int, help="the candidate set")
     p_check.set_defaults(func=cmd_check)
 

@@ -12,18 +12,18 @@ left to right. A subtree with k leaves is the 2k - 1 bytes ending at its
 root. The functions here and ``dp.dp_run`` work on the arrays and create no
 object per node. ``parse_cotree`` checks each slice of its text with bytes
 operations, converts its labels with one ``map(int, ...)`` and makes one
-loop step per token, or one per folded ``(U L L)``, ``(C (U L L))`` or
-``(C L)``. Only a slice that fails a check is read token by token, and its
-tokens feed the same loop, so an error is named where the loop reaches it,
-whichever way its slice was read. ``fold_leaves`` is the one encoding of a
-union of two leaves, or with a leaf on its right, as a single kind byte:
-``format_cotree`` reads its kinds folded, writing such a union in one step,
-and so does ``dp.dp_run``. ``random_cotree`` refuses more leaves than
-``LABEL_LIMIT`` before it draws. ``Leaf``, ``Union`` and ``Complement`` are
-views of one subtree, typed by its root; equality, hashing and pickling use
-the subtree's arrays, and ``repr`` is the ``parse_cotree`` call that
-rebuilds it. New trees come from ``Leaf(v)``, ``union_node`` and
-``complement_node``, which concatenate the arrays.
+loop step per token, or one per folded ``(U L L)``. Only a slice that fails
+a check is read token by token, and its tokens feed the same loop, so an
+error is named where the loop reaches it, whichever way its slice was read.
+``fold_leaves`` is the one encoding of a union of two leaves, or with a
+leaf on its right, as a single kind byte: ``format_cotree`` reads its kinds
+folded, writing such a union in one step, and so does ``dp.dp_run``.
+``random_cotree`` refuses more leaves than ``LABEL_LIMIT`` before it draws.
+``Leaf``, ``Union`` and ``Complement`` are views of one subtree, typed by
+its root; equality, hashing and pickling use the subtree's arrays, and
+``repr`` is the ``parse_cotree`` call that rebuilds it. New trees come from
+``Leaf(v)``, ``union_node`` and ``complement_node``, which concatenate the
+arrays.
 
 ``build_cotree`` recognises a cograph by twin reduction: it merges vertices
 with equal open or closed neighbourhoods until one is left, in O(n + m)
@@ -85,16 +85,11 @@ _DIGIT_RUNS = bytes(c if c in _DIGITS else ord(" ") for c in range(256))
 # Token spellings, digits and spaces deleted, folded to one byte each; a
 # byte that stands for a whole subtree appends its kinds. ``_token_ops``
 # yields the unfolded ops.
-_FOLDS = ((b"(C(ULL))", b"X"), (b"(ULL)", b"Y"), (b"(CL)", b"Z"), (b"(U", b"u"), (b"(C", b"c"))
+_FOLDS = ((b"(ULL)", b"Y"), (b"(U", b"u"), (b"(C", b"c"))
 _CLOSE, _OPEN_U, _OPEN_C, _LEAF_OP = b")ucL"
 # The kinds of a union of two leaves, plain and complemented.
 _PAIR, _JOINED_PAIR = bytes((LEAF, LEAF, UNION)), bytes((LEAF, LEAF, UNION | COMPLEMENTED))
-_FOLDED = {
-    b"L": (LEAF,),
-    b"Y": _PAIR,
-    b"X": _JOINED_PAIR,
-    b"Z": (LEAF | COMPLEMENTED,),
-}
+_FOLDED = {b"L": (LEAF,), b"Y": _PAIR}
 _FOLDED_KINDS = [bytes(_FOLDED.get(bytes((c,)), ())) for c in range(128)]
 # ``fold_leaves``' codes for a union whose children are both leaves and for
 # a union whose right child is a leaf; COMPLEMENTED stays the union's flag.
@@ -669,7 +664,8 @@ def fold_leaves(kinds: bytearray) -> bytearray:
     leaf on its right as one byte, ``LEAF_PAIR`` or ``LEAF_RIGHT`` with the
     union's ``COMPLEMENTED`` flag. In post-order a union's right child ends
     just before it, and a leaf right child's sibling just before that. A
-    complemented leaf is not folded; ``dp.dp_run`` drops leaf flags first.
+    complemented leaf, which only a hand-built tree has, keeps its own byte
+    and never folds into its union.
     """
     for pattern, code in _LEAF_FOLDS:
         kinds = kinds.replace(pattern, code)
@@ -803,10 +799,9 @@ def _bulk_ops(piece: str, labels: array) -> bytes | None:
     ``L`` with digits, as ``_token_ops`` would split them; the labels are
     its digit runs, converted by one ``map(int, ...)``, and with the digits
     and spaces deleted each token but ``(U`` and ``(C`` is one byte.
-    ``_FOLDS`` folds those two into one byte each and, first,
-    ``(C (U L L))``, ``(U L L)`` and ``(C L)`` into one byte that appends
-    their kinds. A pattern that a slice boundary cuts is not folded, and
-    its tokens take one step each.
+    ``_FOLDS`` folds those two into one byte each and, first, ``(U L L)``
+    into one byte that appends its three kinds. A ``(U L L)`` that a slice
+    boundary cuts is not folded, and its tokens take one step each.
     """
     if not piece.isascii():
         return None

@@ -65,14 +65,15 @@ into its cell of a fixed grid indexed by the two shape ids. Cells fill
 without a lock: filling one twice stores the same plan. So a union node
 costs two list lookups and a loop over its candidates; a state with one
 candidate skips the comparison, and a plan with one state and one candidate
-skips the loop. An untraced run first drops the leaves' complement flags
-and folds the kinds with ``cotree.fold_leaves``, the encoding that
-``format_cotree`` reads too, so that a union of two leaves, whose table has
-one entry with both leaves chosen, and a union with a leaf as its right
-child each take one step of the loop. The solution is read off the
-cheapest root entry: one sweep down the entry ids marks the entries under
-it, as every union entry's two entries have smaller ids, and the marked
-leaves are the chosen vertices.
+skips the loop. An untraced run first folds the kinds with
+``cotree.fold_leaves``, the encoding that ``format_cotree`` reads too, so
+that a union of two leaves, whose table has one entry with both leaves
+chosen, and a union with a leaf as its right child each take one step of
+the loop. A complemented leaf, which only a hand-built tree has, stays
+unfolded, and its flag leaves its table as it is. The solution is read off
+the cheapest root entry: one sweep down the entry ids marks the entries
+under it, as every union entry's two entries have smaller ids, and the
+marked leaves are the chosen vertices.
 
 On a connected cograph the twice-separated sets are exactly the
 fault-tolerant resolving sets, so the cheapest finite entry at the root is
@@ -90,7 +91,7 @@ from bisect import bisect_left
 from itertools import compress
 from typing import NamedTuple, Sequence
 
-from .cotree import COMPLEMENTED, LEAF, LEAF_PAIR, LEAF_RIGHT, UNION, Cotree, build_cotree
+from .cotree import COMPLEMENTED, LEAF_PAIR, LEAF_RIGHT, UNION, Cotree, build_cotree
 from .cotree import flat_checked, fold_leaves, iter_nodes, leaf_labels, root_components
 from .graph import Graph, Weight, check_weights
 from .resolving import certify
@@ -232,9 +233,6 @@ def _union_plan(shape1: int, shape2: int) -> tuple:
     return plan
 
 
-# ``dp_run`` reads the kinds folded by ``cotree.fold_leaves``, once leaf
-# flags are dropped: a single leaf's table reads the same complemented.
-_UNFLAGGED_LEAVES = bytes([LEAF, UNION, LEAF, UNION | COMPLEMENTED]) + bytes(range(4, 256))
 _ANY_UNION = UNION | LEAF_RIGHT
 # A union of two leaves has one finite state, with both leaves chosen: its
 # shape, and its complement's, by code.
@@ -270,12 +268,14 @@ def dp_run(
     again on a tree, or a part of one, whose labels have passed against as
     many weights, so a solve checks its labels once.
 
-    Without a trace the kinds lose their leaf flags and are folded by
-    ``cotree.fold_leaves``, so that a union of two leaves is one step,
-    which adds its one entry straight away, and a union whose right child
-    is a leaf is one step too, which makes the leaf's table itself. A union
-    whose plan has one state with one candidate adds that entry without the
-    candidate loop. Both paths create the same entries in the same order.
+    Without a trace the kinds are folded by ``cotree.fold_leaves``, as
+    ``format_cotree`` folds them, so that a union of two leaves is one
+    step, which adds its one entry straight away, and a union whose right
+    child is a leaf is one step too, which makes the leaf's table itself. A
+    complemented leaf stays a step of its own, and its flag leaves its
+    table as it is. A union whose plan has one state with one candidate
+    adds that entry without the candidate loop. Both paths create the same
+    entries in the same order.
 
     The root table's cheapest entry is the fault-tolerant optimum only for
     a connected tree. On a disconnected tree it is the cheapest set that
@@ -291,7 +291,7 @@ def dp_run(
     leaf_weights = map(weights.__getitem__, labels)
     if trace is None:
         nodes = None
-        kinds = fold_leaves(kinds.translate(_UNFLAGGED_LEAVES))
+        kinds = fold_leaves(kinds)
     else:
         nodes = iter_nodes(t)
     stack: list[list] = []

@@ -852,6 +852,22 @@ def test_format_cotree_matches_the_reference_on_canonical_trees():
     assert all(codes[kind] > 0 for kind in (LEAF, UNION, LEAF | COMPLEMENTED, UNION | COMPLEMENTED))
 
 
+def test_generated_canonical_and_reparsed_trees_have_no_complemented_leaf():
+    # The parser folds no (C L) and dp_run reads a complemented leaf
+    # unfolded: only hand-built trees, as in the tests above that complement
+    # 30% of the leaves, take that path.
+    trees = [random_cotree(2**16, seed) for seed in range(3)]
+    for seed in range(2):
+        for n in range(1, 301):
+            drawn = random_cotree(n, seed)
+            trees += (drawn, build_cotree(realize(drawn)))
+    for tree in trees:
+        text = format_cotree(tree)
+        assert "(C L" not in text
+        for t in (tree, parse_cotree(text)):
+            assert LEAF | COMPLEMENTED not in flat(t)[0]
+
+
 def test_random_cotree_and_gen_refuse_more_leaves_than_labels_before_drawing(monkeypatch, capsys):
     def no_draw(seed):
         raise AssertionError("random_cotree drew a tree")

@@ -627,8 +627,7 @@ def test_untraced_run_matches_the_reference_and_the_traced_run():
         assert (root.left, root.right) == (traced.left, traced.right)
         assert sets_of(root) == sets_of(reference_dp.dp_run(tree, weights))
         codes.update(flat(tree)[0])
-        unflagged = flat(tree)[0].translate(dp_module._UNFLAGGED_LEAVES)
-        codes.update(cotree_module.fold_leaves(unflagged))
+        codes.update(cotree_module.fold_leaves(flat(tree)[0]))
     assert codes[LEAF | COMPLEMENTED] > 0
     pair, right = cotree_module.LEAF_PAIR, cotree_module.LEAF_RIGHT
     assert all(codes[code] > 0 for code in (pair, pair | COMPLEMENTED, right, right | COMPLEMENTED))
